@@ -8,8 +8,20 @@ tests can address gates by position; variables always come first.
 
 from __future__ import annotations
 
-from . import circuit as cir
-from .circuit import Circuit, Transducer, constant_circuit, evaluate
+from itertools import accumulate
+
+from .circuit import (
+    G_AND,
+    G_FALSE,
+    G_ID,
+    G_OR,
+    G_TRUE,
+    G_VAR,
+    Circuit,
+    Transducer,
+    constant_circuit,
+    evaluate_transducer,
+)
 from .errors import BuildError
 from .trace import Trace, atom_sequence
 
@@ -35,17 +47,19 @@ def build_shift(n: int, op: str) -> Transducer:
         raise BuildError(f"unknown shift operator {op!r}")
     if n < 1:
         raise BuildError("arity must be at least 1")
-    c = Circuit()
-    for _ in range(n):
-        c.add_var()
-    pad = op in ("wX", "wY")
-    future = op in ("X", "wX")
-    for i in range(n):
-        j = i + 1 if future else i - 1
-        if 0 <= j < n:
-            c.add_id(j)
-        else:
-            c.add_const(pad)
+    pad = G_TRUE if op in ("wX", "wY") else G_FALSE
+    if op in ("X", "wX"):
+        kind = [G_ID] * (n - 1) + [pad]
+        arg0 = list(range(1, n)) + [-1]
+    else:
+        kind = [pad] + [G_ID] * (n - 1)
+        arg0 = [-1] + list(range(n - 1))
+    return _row(n, kind, arg0, [-1] * n)
+
+
+def _row(n: int, kind: list, arg0: list, arg1: list) -> Transducer:
+    """Variables 0..n-1, then the given output row at n..2n-1."""
+    c = Circuit([G_VAR] * n + kind, [-1] * n + arg0, [-1] * n + arg1)
     return Transducer(c, tuple(range(n)), tuple(range(n, 2 * n)))
 
 
@@ -59,21 +73,11 @@ def build_boolean(n: int, op: str, known) -> Transducer:
         raise BuildError(f"unknown boolean operator {op!r}")
     known = tuple(bool(b) for b in known)
     n = _check_len(n, known)
-    c = Circuit()
-    for _ in range(n):
-        c.add_var()
-    for i in range(n):
-        if op == "|":
-            if known[i]:
-                c.add_const(True)
-            else:
-                c.add_id(i)
-        else:
-            if known[i]:
-                c.add_id(i)
-            else:
-                c.add_const(False)
-    return Transducer(c, tuple(range(n)), tuple(range(n, 2 * n)))
+    absorbing = op == "|"  # the known value that decides the output
+    const = G_TRUE if absorbing else G_FALSE
+    kind = [const if b == absorbing else G_ID for b in known]
+    arg0 = [i if k == G_ID else -1 for i, k in enumerate(kind)]
+    return _row(n, kind, arg0, [-1] * n)
 
 
 def _check_len(n: int, known: tuple) -> int:
@@ -82,6 +86,18 @@ def _check_len(n: int, known: tuple) -> int:
     if len(known) != n:
         raise BuildError(f"known sequence has length {len(known)}, expected {n}")
     return n
+
+
+# (U or S, right operand known) -> chain gate kinds where the known bit is
+# (True, False), from the one-step expansion with the known side substituted.
+# Id gates read the variable at their position; And/Or gates read it and the
+# neighbouring output.
+_CHAIN_KINDS = {
+    (True, True): (G_TRUE, G_AND),
+    (True, False): (G_OR, G_ID),
+    (False, True): (G_OR, G_FALSE),
+    (False, False): (G_ID, G_AND),
+}
 
 
 def build_unbounded(n: int, op: str, known_side: str, known) -> Transducer:
@@ -102,44 +118,23 @@ def build_unbounded(n: int, op: str, known_side: str, known) -> Transducer:
         raise BuildError(f"known_side must be 'left' or 'right', got {known_side!r}")
     known = tuple(bool(b) for b in known)
     n = _check_len(n, known)
-    c = Circuit()
-    for _ in range(n):
-        c.add_var()
     future = op in FUTURE_OPS
-    edge = n - 1 if future else 0
     right_known = known_side == "right"
-    for i in range(n):
-        neighbour = n + (i + 1 if future else i - 1)
-        if i == edge:
-            # the chain's far end: no neighbour to recurse into
-            if right_known:
-                c.add_const(known[i])
-            else:
-                c.add_id(i)
-        elif op in ("U", "S"):
-            if right_known:
-                if known[i]:
-                    c.add_const(True)
-                else:
-                    c.add_and(i, neighbour)
-            else:
-                if known[i]:
-                    c.add_or(i, neighbour)
-                else:
-                    c.add_id(i)
-        else:  # R, T
-            if right_known:
-                if known[i]:
-                    c.add_or(i, neighbour)
-                else:
-                    c.add_const(False)
-            else:
-                if known[i]:
-                    c.add_id(i)
-                else:
-                    c.add_and(i, neighbour)
-    t = Transducer(c, tuple(range(n)), tuple(range(n, 2 * n)))
-    return cir.evaluate_transducer(t)
+    on, off = _CHAIN_KINDS[op in ("U", "S"), right_known]
+    kind = [on if b else off for b in known]
+    step = 1 if future else -1
+    arg0 = [i if k >= G_ID else -1 for i, k in enumerate(kind)]
+    arg1 = [n + i + step if k >= G_AND else -1 for i, k in enumerate(kind)]
+    # the chain's far end: no neighbour to recurse into
+    edge = n - 1 if future else 0
+    if right_known:
+        kind[edge] = G_TRUE if known[edge] else G_FALSE
+        arg0[edge] = -1
+    else:
+        kind[edge] = G_ID
+        arg0[edge] = edge
+    arg1[edge] = -1
+    return evaluate_transducer(_row(n, kind, arg0, arg1))
 
 
 def build_bounded(n: int, op: str, bound: int, known_side: str, known) -> Transducer:
@@ -180,65 +175,37 @@ def _window(i: int, n: int, bound: int, future: bool) -> range:
 
 
 def _bounded_collapsed(n, op, bound, known, future) -> Transducer:
-    c = Circuit()
-    for _ in range(n):
-        c.add_var()
     exists = op in ("U", "S")
-    for i in range(n):
-        window = _window(i, n, bound, future)
-        neighbour = n + (i + 1 if future else i - 1)
-        last = window[-1] if future else window[0]
-        if exists:
-            if known[i]:
-                c.add_const(True)
-            elif not any(known[j] for j in window):
-                c.add_const(False)
-            elif i == last:
-                # window is {i} with known[i] False, already handled above;
-                # unreachable, kept as a guard
-                c.add_const(False)
-            else:
-                c.add_and(i, neighbour)
-        else:
-            if not known[i]:
-                c.add_const(False)
-            elif all(known[j] for j in window):
-                c.add_const(True)
-            elif i == last:
-                c.add_const(True)
-            else:
-                c.add_or(i, neighbour)
-    return Transducer(c, tuple(range(n)), tuple(range(n, 2 * n)))
+    # a witness settles output i at once: a known True for U/S, False for R/T
+    witness = [b == exists for b in known]
+    before = list(accumulate(witness, initial=0))  # witnesses before each position
+    windows = (_window(i, n, bound, future) for i in range(n))
+    in_window = [before[w.stop] > before[w.start] for w in windows]
+    hit, miss = (G_TRUE, G_FALSE) if exists else (G_FALSE, G_TRUE)
+    chain = G_AND if exists else G_OR
+    kind = [
+        hit if w else (chain if later else miss)
+        for w, later in zip(witness, in_window)
+    ]
+    step = 1 if future else -1
+    arg0 = [i if k == chain else -1 for i, k in enumerate(kind)]
+    arg1 = [n + i + step if k == chain else -1 for i, k in enumerate(kind)]
+    return _row(n, kind, arg0, arg1)
 
 
 def _bounded_grid(n, op, bound, known, future) -> Transducer:
-    c = Circuit()
-    for _ in range(n):
-        c.add_var()
     exists = op in ("U", "S")
-
-    def gate_at(i: int, j: int) -> int:
-        return (bound - j) * n + i
-
-    for j in range(bound - 1, -1, -1):
-        for i in range(n):
-            below = gate_at(i, j + 1)
-            diag_i = i + 1 if future else i - 1
-            if not 0 <= diag_i < n:
-                c.add_id(below)
-            elif known[i]:
-                diag = gate_at(diag_i, j + 1)
-                if exists:
-                    c.add_or(below, diag)
-                else:
-                    c.add_id(below)
-            else:
-                if exists:
-                    c.add_id(below)
-                else:
-                    diag = gate_at(diag_i, j + 1)
-                    c.add_and(below, diag)
+    step = 1 if future else -1
+    binary = G_OR if exists else G_AND
+    # every grid row has the same kinds; a gate reads the gate below it (id
+    # minus n) and, if binary, the diagonal neighbour below it
+    row = [
+        binary if known[i] == exists and 0 <= i + step < n else G_ID
+        for i in range(n)
+    ]
+    diag = [i + step if k == binary else -1 for i, k in enumerate(row)]
+    arg1 = [base + d if d >= 0 else -1 for base in range(0, bound * n, n) for d in diag]
+    c = Circuit([G_VAR] * n + row * bound, [-1] * n + list(range(bound * n)), [-1] * n + arg1)
     inputs = tuple(range(n))
     outputs = tuple(range(bound * n, bound * n + n))
-    t = Transducer(c, inputs, outputs)
-    return cir.evaluate_transducer(t)
+    return evaluate_transducer(Transducer(c, inputs, outputs))

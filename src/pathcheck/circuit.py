@@ -1,9 +1,12 @@
 """Monotone Boolean circuits and transducers over a shared gate arena.
 
 A circuit is three parallel lists (kind, first arg, second arg) indexed by
-gate id. Ids are dense in construction order and never reused or dropped;
-evaluation rewrites labels in place of a copy but keeps the arena size, so a
-gate id stays meaningful across evaluate/compose.
+gate id. Ids are dense: 0..len-1, with no holes. `evaluate` rewrites labels
+in a copy but keeps the arena size, so a gate id stays meaningful across it.
+`compose_evaluated` is where gates die: after evaluating the joined arena it
+drops every gate that is neither an input nor reachable from an output, and
+renumbers the survivors in their original order, so the interfaces keep
+their order and an edge label carries live gates only.
 
 A transducer wraps a circuit with an ordered input interface (exactly its
 Var gates, each once) and an ordered output interface (any gates). Feeding
@@ -13,6 +16,7 @@ one transducer's outputs into another's inputs composes their functions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, compress
 
 from .errors import CircuitError
 
@@ -112,19 +116,22 @@ class Transducer:
 
 def constant_circuit(bits) -> Transducer:
     """Arity 0 -> len(bits): output gate i is the constant bits[i]."""
-    c = Circuit()
-    for b in bits:
-        c.add_const(bool(b))
-    return Transducer(c, (), tuple(range(len(c))))
+    kind = [G_TRUE if b else G_FALSE for b in bits]
+    c = Circuit(kind, [-1] * len(kind), [-1] * len(kind))
+    return Transducer(c, (), tuple(range(len(kind))))
 
 
 def identity(n: int) -> Transducer:
     """n Var gates wired straight through (inputs == outputs)."""
     if n < 0:
         raise CircuitError("identity arity must be non-negative")
-    c = Circuit()
-    ids = tuple(c.add_var() for _ in range(n))
-    return Transducer(c, ids, ids)
+    ids = tuple(range(n))
+    return Transducer(Circuit([G_VAR] * n, [-1] * n, [-1] * n), ids, ids)
+
+
+def _is_identity(t: Transducer) -> bool:
+    """Inputs wired straight to the outputs in the same order, nothing else."""
+    return t.inputs == t.outputs and len(t.circuit) == len(t.inputs)
 
 
 def validate(t: Transducer) -> None:
@@ -175,11 +182,12 @@ def _check_acyclic(c: Circuit) -> None:
 
 def constants_are_sinks(c: Circuit) -> bool:
     """The evaluatedness test: no gate reads a constant gate."""
-    kind = c.kind
-    for g in range(len(c)):
-        for d in c.dependencies(g):
-            if kind[d] <= G_TRUE:
-                return False
+    kind, arg0, arg1 = c.kind, c.arg0, c.arg1
+    for g, k in enumerate(kind):
+        if k >= G_ID and kind[arg0[g]] <= G_TRUE:
+            return False
+        if k >= G_AND and kind[arg1[g]] <= G_TRUE:
+            return False
     return True
 
 
@@ -332,18 +340,29 @@ def compose(first: Transducer, second: Transducer) -> Transducer:
 
 
 def compose_evaluated(first: Transducer, second: Transducer) -> Transducer:
-    """Compose two (essentially) evaluated transducers into an evaluated one.
+    """Compose two (essentially) evaluated transducers into an evaluated,
+    compact one.
 
     Constant outputs of `first` are moved into `second` as constant labels on
     the corresponding input gates, `second` is re-evaluated if anything
     moved, then the join of the rest is evaluated. This keeps constants from
-    crossing the composition boundary unevaluated.
+    crossing the composition boundary unevaluated. When either side is an
+    identity the result is the other side, evaluated if a gate in it still
+    reads a constant (a raw builder row).
+
+    The result holds only its inputs and the gates its outputs reach, in
+    their original relative order; interface order is unchanged.
     """
     if len(first.outputs) != len(second.inputs):
         raise CircuitError(
             f"arity mismatch: {len(first.outputs)} outputs fed into "
             f"{len(second.inputs)} inputs"
         )
+    if _is_identity(first) or _is_identity(second):
+        other = second if _is_identity(first) else first
+        if not constants_are_sinks(other.circuit):
+            other = evaluate_transducer(other)
+        return _compact(other)
     fkind = first.circuit.kind
     const_pos = [i for i, o in enumerate(first.outputs) if fkind[o] <= G_TRUE]
     if const_pos:
@@ -358,8 +377,50 @@ def compose_evaluated(first: Transducer, second: Transducer) -> Transducer:
         live_out = tuple(o for i, o in enumerate(first.outputs) if i not in moved)
         first = Transducer(first.circuit, first.inputs, live_out)
         second = Transducer(evaluate(c2), live_in, second.outputs)
-    joined = compose(first, second)
-    return Transducer(evaluate(joined.circuit), joined.inputs, joined.outputs)
+    return _compact(evaluate_transducer(compose(first, second)))
+
+
+def _compact(t: Transducer) -> Transducer:
+    """Drop the gates that are neither inputs nor reachable from an output,
+    renumbering the rest in their original order."""
+    c = t.circuit
+    kind, arg0, arg1 = c.kind, c.arg0, c.arg1
+    m = len(kind)
+    if len(set(t.inputs).union(t.outputs)) == m:
+        return t  # every gate is an interface gate, as in a builder row
+    keep = bytearray(m)
+    for g in t.inputs:
+        keep[g] = 1
+    stack = list(t.outputs)
+    while stack:
+        g = stack.pop()
+        if keep[g]:
+            continue
+        keep[g] = 1
+        k = kind[g]
+        if k >= G_ID:
+            a = arg0[g]
+            if not keep[a]:
+                stack.append(a)
+            if k >= G_AND:
+                b = arg1[g]
+                if not keep[b]:
+                    stack.append(b)
+    live = list(compress(range(m), keep))
+    if len(live) == m:
+        return t
+    # new id of gate g is rank[g + 1]; rank[0] = -1 keeps "no operand" as -1
+    rank = list(accumulate(keep, initial=-1))
+    out = Circuit(
+        [kind[g] for g in live],
+        [rank[arg0[g] + 1] for g in live],
+        [rank[arg1[g] + 1] for g in live],
+    )
+    return Transducer(
+        out,
+        tuple(rank[g + 1] for g in t.inputs),
+        tuple(rank[g + 1] for g in t.outputs),
+    )
 
 
 def apply(t: Transducer, bits) -> tuple[bool, ...]:

@@ -39,6 +39,7 @@ from .formula import (
     Trigger,
     UNARY_TEMPORAL,
     Until,
+    _UNARY_TOKEN,
     atom_names,
     format_formula,
     is_literal,
@@ -50,8 +51,6 @@ from .formula import (
 from .trace import Trace, atom_sequence
 
 ROOT = -1
-
-_UNARY_TOKEN = {"Next": "X", "WeakNext": "wX", "Yesterday": "Y", "WeakYesterday": "wY"}
 
 _PARTIAL_BINARY = {
     And: ("&", None),
@@ -142,11 +141,13 @@ def init_tree(f: Formula, trace: Trace) -> ContractionTree:
 
     Unary operators never become nodes: each maximal unary chain is composed
     (innermost first) onto an identity transducer to label the edge to the
-    first non-unary subformula beneath it.
+    first non-unary subformula beneath it. Every edge starts from one shared
+    identity, which is what edges without unary operators keep.
     """
     occs = subformula_occurrences(f)  # raises FormulaError unless PNF
     tree = ContractionTree(trace)
     n = tree.n
+    ident = identity(n)
     unary_idx = {
         o.index for o in occs if isinstance(o.formula, UNARY_TEMPORAL)
     }
@@ -157,7 +158,7 @@ def init_tree(f: Formula, trace: Trace) -> ContractionTree:
         node = occ.index
         tree.node_formula[node] = occ.formula
         # climb through any unary ancestors, composing their shifts
-        label = identity(n)
+        label = ident
         top_formula = occ.formula
         p = occ.parent
         slot = occ.slot
@@ -167,7 +168,7 @@ def init_tree(f: Formula, trace: Trace) -> ContractionTree:
             # sequence after everything already in the label, i.e. compose on
             # the output side
             label = compose_evaluated(
-                label, builder.build_shift(n, _UNARY_TOKEN[type(u).__name__])
+                label, builder.build_shift(n, _UNARY_TOKEN[type(u)])
             )
             top_formula = u
             slot = occs[p].slot

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from pathcheck.builder import build_bounded
 from pathcheck.circuit import (
     G_AND,
     G_FALSE,
@@ -271,20 +272,51 @@ class TestCompose:
                 assert apply(g, bits) == apply(b, apply(a, bits))
 
 
+def _reachable_or_input(t):
+    c = t.circuit
+    seen = set(t.inputs)
+    stack = list(t.outputs)
+    while stack:
+        g = stack.pop()
+        if g not in seen:
+            seen.add(g)
+            stack.extend(c.dependencies(g))
+    return seen
+
+
 class TestComposeEvaluated:
     def test_matches_evaluate_of_compose(self):
         rng = random.Random(13)
+        pairs = []
         for _ in range(50):
             k = rng.randrange(0, 5)
             mid = rng.randrange(1, 5)
             out = rng.randrange(1, 4)
             a = random_evaluated_transducer(rng, k, mid)
             b = random_evaluated_transducer(rng, mid, out)
+            pairs.append((a, b))
+            # one side the identity, the other evaluated
+            pairs.append((identity(k), a))
+            pairs.append((b, identity(out)))
+        # the other side a raw collapsed row: the C2 golden row, which reads
+        # constants, and random ones
+        rows = [build_bounded(8, "U", 3, "right", (0, 1, 0, 0, 0, 0, 0, 1))]
+        for _ in range(20):
+            n = rng.randrange(1, 7)
+            op = rng.choice(("U", "R", "S", "T"))
+            rows.append(build_bounded(n, op, rng.randrange(0, 4), "right", random_bits(rng, n)))
+        for raw in rows:
+            n = raw.arity_in
+            pairs.append((identity(n), raw))
+            pairs.append((raw, identity(n)))
+        for a, b in pairs:
             fused = compose_evaluated(a, b)
             plain = compose(a, b)
             assert truth_table(fused) == truth_table(plain)
             assert constants_are_sinks(fused.circuit)
             validate(fused)
+            assert (fused.arity_in, fused.arity_out) == (a.arity_in, b.arity_out)
+            assert _reachable_or_input(fused) == set(range(len(fused.circuit)))
 
     def test_constant_first_stage(self):
         # every output of the first stage is a constant

@@ -84,6 +84,17 @@ class TestInitTree:
         got = apply(label, t.literal_bits[2])
         assert got == eval_seq(tr, parse("X X a"))
 
+    def test_unary_chain_label_stays_linear(self):
+        # composing X onto the label one shift at a time must not keep the
+        # dead gates of every earlier shift: the label stays at 2n gates
+        d, n = 64, 256
+        rng = random.Random(64)
+        tr = random_trace(rng, n, names=("a",))
+        f = parse("X " * d + "a")
+        t = init_tree(f, tr)
+        assert len(t.labels[t.top()].circuit) <= 2 * n
+        assert check(f, tr) == check(f, tr, engine="naive")
+
     def test_unary_above_binary(self):
         tr = bits_trace(a="0110", b="1011")
         t = init_tree(parse("wY (a U (X b))"), tr)
