@@ -149,10 +149,11 @@ def build_bounded(n: int, op: str, bound: int, known_side: str, known) -> Transd
     With the left operand known, the bound becomes an unrolled grid of
     bound+1 rows. Row `bound` is the variable row; each row applies one step
     of the operator's expansion reading the row below, and row 0 is the
-    output. Gate (i, j) sits at id (bound - j) * n + i. The grid is evaluated
-    before returning (there are no constants in it, so only Id chains
-    compress). With bound = 0 the operator degenerates to its right operand
-    and the grid is just the variable row (inputs == outputs).
+    output. Gate (i, j) sits at id (bound - j) * n + i. The grid is emitted
+    evaluated: it holds no constants, so evaluating it would only compress
+    its Id chains, and every Id column already points at its variable. With
+    bound = 0 the operator degenerates to its right operand and the grid is
+    just the variable row (inputs == outputs).
     """
     if op not in BINARY_OPS:
         raise BuildError(f"unknown binary operator {op!r}")
@@ -197,15 +198,15 @@ def _bounded_grid(n, op, bound, known, future) -> Transducer:
     exists = op in ("U", "S")
     step = 1 if future else -1
     binary = G_OR if exists else G_AND
-    # every grid row has the same kinds; a gate reads the gate below it (id
-    # minus n) and, if binary, the diagonal neighbour below it
+    # every grid row has the same kinds, so a column is all binary or all Id;
+    # a binary gate reads the gate below it (id minus n) and the diagonal
+    # neighbour below it, an Id gate reads its column's variable directly
     row = [
         binary if known[i] == exists and 0 <= i + step < n else G_ID
         for i in range(n)
     ]
-    diag = [i + step if k == binary else -1 for i, k in enumerate(row)]
-    arg1 = [base + d if d >= 0 else -1 for base in range(0, bound * n, n) for d in diag]
-    c = Circuit([G_VAR] * n + row * bound, [-1] * n + list(range(bound * n)), [-1] * n + arg1)
-    inputs = tuple(range(n))
-    outputs = tuple(range(bound * n, bound * n + n))
-    return evaluate_transducer(Transducer(c, inputs, outputs))
+    bases = range(0, bound * n, n)
+    arg0 = [base + i if k == binary else i for base in bases for i, k in enumerate(row)]
+    arg1 = [base + i + step if k == binary else -1 for base in bases for i, k in enumerate(row)]
+    c = Circuit([G_VAR] * n + row * bound, [-1] * n + arg0, [-1] * n + arg1)
+    return Transducer(c, tuple(range(n)), tuple(range(bound * n, bound * n + n)))

@@ -3,10 +3,18 @@
 A circuit is three parallel lists (kind, first arg, second arg) indexed by
 gate id. Ids are dense: 0..len-1, with no holes. `evaluate` rewrites labels
 in a copy but keeps the arena size, so a gate id stays meaningful across it.
-`compose_evaluated` is where gates die: after evaluating the joined arena it
-drops every gate that is neither an input nor reachable from an output, and
-renumbers the survivors in their original order, so the interfaces keep
-their order and an edge label carries live gates only.
+In an evaluated circuit no gate reads a constant and every Id gate points at
+a gate that is not an Id.
+
+`compose_evaluated` joins two evaluated transducers. It moves the constant
+outputs of the first into the second, which it then re-evaluates. After that
+nothing in the join can fold, so the join is spliced rather than evaluated:
+the gates are copied once and only the Id targets at the seam move, which is
+what evaluating the join would do. An identity side is never composed
+through. The result is compacted: every gate that is neither an input nor
+reachable from an output is dropped and the survivors are renumbered in
+their original order, so the interfaces keep their order and an edge label
+carries live gates only.
 
 A transducer wraps a circuit with an ordered input interface (exactly its
 Var gates, each once) and an ordered output interface (any gates). Feeding
@@ -129,7 +137,7 @@ def identity(n: int) -> Transducer:
     return Transducer(Circuit([G_VAR] * n, [-1] * n, [-1] * n), ids, ids)
 
 
-def _is_identity(t: Transducer) -> bool:
+def is_identity(t: Transducer) -> bool:
     """Inputs wired straight to the outputs in the same order, nothing else."""
     return t.inputs == t.outputs and len(t.circuit) == len(t.inputs)
 
@@ -340,15 +348,16 @@ def compose(first: Transducer, second: Transducer) -> Transducer:
 
 
 def compose_evaluated(first: Transducer, second: Transducer) -> Transducer:
-    """Compose two (essentially) evaluated transducers into an evaluated,
-    compact one.
+    """Compose two evaluated transducers into an evaluated, compact one.
 
-    Constant outputs of `first` are moved into `second` as constant labels on
-    the corresponding input gates, `second` is re-evaluated if anything
-    moved, then the join of the rest is evaluated. This keeps constants from
-    crossing the composition boundary unevaluated. When either side is an
-    identity the result is the other side, evaluated if a gate in it still
-    reads a constant (a raw builder row).
+    Constant outputs of `first` are moved into `second` as constant labels
+    on the corresponding input gates, and `second` is re-evaluated if
+    anything moved. This keeps constants from crossing the composition
+    boundary. The rest is joined by `_splice`, which gives what evaluating
+    the composed arena would give without walking it again. When either side
+    is an identity the result is the other side, evaluated if a gate in it
+    still reads a constant (a raw builder row); that is the only case in
+    which a side need not be evaluated.
 
     The result holds only its inputs and the gates its outputs reach, in
     their original relative order; interface order is unchanged.
@@ -358,11 +367,11 @@ def compose_evaluated(first: Transducer, second: Transducer) -> Transducer:
             f"arity mismatch: {len(first.outputs)} outputs fed into "
             f"{len(second.inputs)} inputs"
         )
-    if _is_identity(first) or _is_identity(second):
-        other = second if _is_identity(first) else first
+    if is_identity(first) or is_identity(second):
+        other = second if is_identity(first) else first
         if not constants_are_sinks(other.circuit):
             other = evaluate_transducer(other)
-        return _compact(other)
+        return compact(other)
     fkind = first.circuit.kind
     const_pos = [i for i, o in enumerate(first.outputs) if fkind[o] <= G_TRUE]
     if const_pos:
@@ -377,10 +386,42 @@ def compose_evaluated(first: Transducer, second: Transducer) -> Transducer:
         live_out = tuple(o for i, o in enumerate(first.outputs) if i not in moved)
         first = Transducer(first.circuit, first.inputs, live_out)
         second = Transducer(evaluate(c2), live_in, second.outputs)
-    return _compact(evaluate_transducer(compose(first, second)))
+    return compact(_splice(first, second))
 
 
-def _compact(t: Transducer) -> Transducer:
+def _splice(first: Transducer, second: Transducer) -> Transducer:
+    """`evaluate` of `compose(first, second)`, built in one pass.
+
+    Both sides must be evaluated and no output of `first` may be a constant.
+    Then no gate of the join reads a constant and nothing folds: `first`'s
+    gates are copied unchanged, each input gate of `second` becomes an Id of
+    the output it is fed (or of that output's target, if it is an Id), each
+    Id gate of `second` that reads an input follows it there, and every other
+    gate is shifted past `first`, And/Or gates keeping their operand pointers.
+    """
+    fc, sc = first.circuit, second.circuit
+    off = len(fc)
+    fkind, farg0 = fc.kind, fc.arg0
+    fed = [farg0[o] if fkind[o] == G_ID else o for o in first.outputs]
+    # where an Id gate of second points in the join
+    id_target = list(range(off, off + len(sc)))
+    for g, t in zip(second.inputs, fed):
+        id_target[g] = t
+    kind = fkind + sc.kind
+    arg0 = farg0 + [
+        id_target[a] if k == G_ID else (a + off if k > G_ID else -1)
+        for k, a in zip(sc.kind, sc.arg0)
+    ]
+    arg1 = fc.arg1 + [b + off if b >= 0 else -1 for b in sc.arg1]
+    for g, t in zip(second.inputs, fed):
+        kind[g + off] = G_ID
+        arg0[g + off] = t
+    return Transducer(
+        Circuit(kind, arg0, arg1), first.inputs, tuple(o + off for o in second.outputs)
+    )
+
+
+def compact(t: Transducer) -> Transducer:
     """Drop the gates that are neither inputs nor reachable from an output,
     renumbering the rest in their original order."""
     c = t.circuit
@@ -430,6 +471,8 @@ def apply(t: Transducer, bits) -> tuple[bool, ...]:
         raise CircuitError(
             f"arity mismatch: {len(bits)} bits for {len(t.inputs)} inputs"
         )
+    if is_identity(t):
+        return tuple(map(bool, bits))
     kind = t.circuit.kind
     arg0 = t.circuit.arg0
     arg1 = t.circuit.arg1
@@ -476,23 +519,29 @@ def apply(t: Transducer, bits) -> tuple[bool, ...]:
 
 
 def to_dot(t: Transducer, graph_name: str = "circuit") -> str:
-    """DOT rendering: one node per gate labeled with its kind (constants show
-    their value), one edge from each gate to every gate it reads, and the
-    input/output interfaces grouped with rank=same in interface order."""
-    c = t.circuit
+    """DOT rendering of one transducer, its interfaces listed in comments."""
     lines = [f"digraph {graph_name} {{"]
     if t.inputs:
         lines.append("  // inputs: " + " ".join(f"g{g}" for g in t.inputs))
     if t.outputs:
         lines.append("  // outputs: " + " ".join(f"g{g}" for g in t.outputs))
-    for g in range(len(c)):
-        lines.append(f'  g{g} [label="{KIND_NAMES[c.kind[g]]}"];')
-    for g in range(len(c)):
-        for d in c.dependencies(g):
-            lines.append(f"  g{g} -> g{d};")
-    if t.inputs:
-        lines.append("  { rank=same; " + " ".join(f"g{g};" for g in t.inputs) + " }")
-    if t.outputs:
-        lines.append("  { rank=same; " + " ".join(f"g{g};" for g in t.outputs) + " }")
+    lines += dot_lines(t)
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def dot_lines(t: Transducer, prefix: str = "g", indent: str = "  ") -> list[str]:
+    """The DOT statements of one transducer: one node per gate labeled with
+    its kind (constants show their value), one edge from each gate to every
+    gate it reads, and the input/output interfaces grouped with rank=same in
+    interface order. Node names are `prefix` plus the gate id."""
+    c = t.circuit
+    lines = [f'{indent}{prefix}{g} [label="{KIND_NAMES[k]}"];' for g, k in enumerate(c.kind)]
+    for g in range(len(c)):
+        for d in c.dependencies(g):
+            lines.append(f"{indent}{prefix}{g} -> {prefix}{d};")
+    for side in (t.inputs, t.outputs):
+        if side:
+            names = " ".join(f"{prefix}{g};" for g in side)
+            lines.append(f"{indent}{{ rank=same; {names} }}")
+    return lines

@@ -20,7 +20,7 @@ from pathlib import Path as FsPath
 
 from . import builder as builder_mod
 from .campaign import ALPHABET, CampaignConfig, minimize, random_formula, run_campaign
-from .circuit import KIND_NAMES, Transducer, to_dot
+from .circuit import Transducer, dot_lines, to_dot
 from .contraction import ContractionRecord, ContractionTree, check, init_tree, run_contraction
 from .errors import BuildError, PathcheckError
 from .formula import format_formula, parse, prune_bounds, size, to_pnf
@@ -40,6 +40,10 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        # the formula transforms recurse once per nesting level
+        print("error: formula nested too deeply", file=sys.stderr)
         return 2
 
 
@@ -175,20 +179,9 @@ def _tree_dot(tree: ContractionTree, stage: int) -> str:
     """All edge labels of the tree as one DOT graph, one cluster per edge."""
     lines = [f"digraph stage{stage} {{"]
     for child in sorted(tree.labels):
-        t = tree.labels[child]
-        c = t.circuit
-        pre = f"e{child}_g"
         lines.append(f"  subgraph cluster_edge{child} {{")
         lines.append(f'    label="edge to node {child}";')
-        for g in range(len(c)):
-            lines.append(f'    {pre}{g} [label="{KIND_NAMES[c.kind[g]]}"];')
-        for g in range(len(c)):
-            for d in c.dependencies(g):
-                lines.append(f"    {pre}{g} -> {pre}{d};")
-        if t.inputs:
-            lines.append("    { rank=same; " + " ".join(f"{pre}{g};" for g in t.inputs) + " }")
-        if t.outputs:
-            lines.append("    { rank=same; " + " ".join(f"{pre}{g};" for g in t.outputs) + " }")
+        lines += dot_lines(tree.labels[child], prefix=f"e{child}_g", indent="    ")
         lines.append("  }")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -24,7 +24,17 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from . import builder
-from .circuit import Transducer, apply, compose_evaluated, constants_are_sinks, identity, validate
+from .circuit import (
+    Transducer,
+    apply,
+    compact,
+    compose_evaluated,
+    constants_are_sinks,
+    evaluate_transducer,
+    identity,
+    is_identity,
+    validate,
+)
 from .errors import ContractionError, TraceError
 from .formula import (
     And,
@@ -140,9 +150,10 @@ def init_tree(f: Formula, trace: Trace) -> ContractionTree:
     """Build the initial tree for a PNF formula over a trace.
 
     Unary operators never become nodes: each maximal unary chain is composed
-    (innermost first) onto an identity transducer to label the edge to the
-    first non-unary subformula beneath it. Every edge starts from one shared
-    identity, which is what edges without unary operators keep.
+    (innermost first) into the label of the edge to the first non-unary
+    subformula beneath it, the innermost shift taking the place of the
+    identity. Every edge starts from one shared identity, which is what edges
+    without unary operators keep.
     """
     occs = subformula_occurrences(f)  # raises FormulaError unless PNF
     tree = ContractionTree(trace)
@@ -167,9 +178,8 @@ def init_tree(f: Formula, trace: Trace) -> ContractionTree:
             # climbing outward: the shift just climbed must transform the
             # sequence after everything already in the label, i.e. compose on
             # the output side
-            label = compose_evaluated(
-                label, builder.build_shift(n, _UNARY_TOKEN[type(u)])
-            )
+            shift = builder.build_shift(n, _UNARY_TOKEN[type(u)])
+            label = shift if label is ident else compose_evaluated(label, shift)
             top_formula = u
             slot = occs[p].slot
             p = occs[p].parent
@@ -208,6 +218,8 @@ class _Plan:
 
 
 def _build_partial(f: Formula, known_side: str, known, n: int) -> Transducer:
+    """The operator f specialized on its known operand, evaluated and compact
+    like every edge label."""
     kind = _PARTIAL_BINARY.get(type(f))
     if kind is None:
         raise ContractionError(f"not a binary operator node: {format_formula(f)}")
@@ -215,7 +227,10 @@ def _build_partial(f: Formula, known_side: str, known, n: int) -> Transducer:
     if op in ("&", "|"):
         return builder.build_boolean(n, op, known)
     if flavour == "bounded":
-        return builder.build_bounded(n, op, f.bound, known_side, known)
+        t = builder.build_bounded(n, op, f.bound, known_side, known)
+        if known_side == "right":
+            return evaluate_transducer(t)  # the raw collapsed row
+        return compact(t)  # the grid, whose inner Id gates are dead
     return builder.build_unbounded(n, op, known_side, known)
 
 
@@ -230,8 +245,10 @@ def _plan(tree: ContractionTree, leaf: int) -> _Plan:
     known = apply(tree.labels[leaf], tree.literal_bits[leaf])
     side = "left" if tree.slot[leaf] == 0 else "right"
     partial = _build_partial(tree.node_formula[p], side, known, tree.n)
-    lifted = compose_evaluated(partial, tree.labels[p])
-    new_label = compose_evaluated(tree.labels[sibling], lifted)
+    # labels are evaluated and compact, so an identity side is left out
+    above, below = tree.labels[p], tree.labels[sibling]
+    lifted = partial if is_identity(above) else compose_evaluated(partial, above)
+    new_label = lifted if is_identity(below) else compose_evaluated(below, lifted)
     return _Plan(leaf, p, sibling, grandparent, tree.slot[p], new_label)
 
 

@@ -15,6 +15,7 @@ from pathcheck.circuit import (
     G_TRUE,
     apply,
     constants_are_sinks,
+    evaluate,
     validate,
 )
 from pathcheck.errors import BuildError
@@ -249,6 +250,17 @@ class TestBoundedGrid:
                 assert constants_are_sinks(t.circuit)
                 validate(t)
 
+
+    def test_grid_equals_its_evaluation(self):
+        rng = random.Random(79)
+        for _ in range(60):
+            n = rng.randrange(1, 12)
+            bound = rng.randrange(0, 6)
+            known = random_bits(rng, n)
+            for op in ("U", "R", "S", "T"):
+                c = build_bounded(n, op, bound, "left", known).circuit
+                cooked = evaluate(c)
+                assert (c.kind, c.arg0, c.arg1) == (cooked.kind, cooked.arg0, cooked.arg1)
 
 def test_bounded_rejects():
     with pytest.raises(BuildError):

@@ -12,6 +12,7 @@ from pathcheck.circuit import (
     G_VAR,
     Circuit,
     Transducer,
+    _splice,
     apply,
     compose,
     compose_evaluated,
@@ -332,6 +333,41 @@ class TestComposeEvaluated:
     def test_arity_mismatch(self):
         with pytest.raises(CircuitError, match="arity"):
             compose_evaluated(identity(1), identity(2))
+
+
+def _no_constant_outputs(rng, k, mid):
+    """A random evaluated transducer none of whose outputs is a constant."""
+    while True:
+        t = random_evaluated_transducer(rng, k, mid)
+        if not any(t.circuit.is_const(o) for o in t.outputs):
+            return t
+
+
+class TestSplice:
+    def test_matches_evaluate_of_compose(self):
+        rng = random.Random(16)
+        pairs = []
+        for _ in range(150):
+            k = rng.randrange(1, 6)
+            mid = rng.randrange(0, 5)
+            out = rng.randrange(0, 4)
+            a = _no_constant_outputs(rng, k, mid)
+            b = random_evaluated_transducer(rng, mid, out)
+            pairs.append((a, b))
+            # identity-shaped sides
+            pairs.append((identity(mid), b))
+            pairs.append((a, identity(mid)))
+            # input arity 0: nothing to feed, the second side all constants
+            pairs.append((random_evaluated_transducer(rng, 0, 0),
+                          random_evaluated_transducer(rng, 0, out)))
+        for a, b in pairs:
+            spliced = _splice(a, b)
+            plain = compose(a, b)
+            cooked = evaluate(plain.circuit)
+            assert spliced.circuit.kind == cooked.kind
+            assert spliced.circuit.arg0 == cooked.arg0
+            assert spliced.circuit.arg1 == cooked.arg1
+            assert (spliced.inputs, spliced.outputs) == (plain.inputs, plain.outputs)
 
 
 class TestApply:

@@ -1,6 +1,10 @@
+from pathlib import Path
+
 import pytest
 
 from pathcheck.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture
@@ -95,6 +99,16 @@ class TestCheck:
         assert rc == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("text", ["X " * 3000 + "a", " U ".join(["a"] * 2000)])
+    def test_deeply_nested_exit_2(self, tmp_path, sat_trace, capsys, text):
+        f = tmp_path / "deep.ltl"
+        f.write_text(text)
+        rc = main(["check", "--formula-file", str(f), "--trace", sat_trace])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "error: formula nested too deeply" in err
+        assert "Traceback" not in err
+
     def test_unknown_atom_exit_2(self, sat_trace, capsys):
         rc = main(["check", "--formula", "zz", "--trace", sat_trace])
         assert rc == 2
@@ -169,6 +183,26 @@ class TestDot:
         first = (outdir / "stage_00.dot").read_text()
         assert first.startswith("digraph stage0 {")
         assert "subgraph cluster_edge" in first
+
+    def test_full_run_golden(self, tmp_path, sat_trace, capsys):
+        outdir = tmp_path / "stages"
+        rc = main(["dot", "--formula", "(a U b) & (b S a)",
+                   "--trace", sat_trace, "--emit-dot", str(outdir)])
+        capsys.readouterr()
+        assert rc == 0
+        golden = GOLDEN / "stages_until_since"
+        names = sorted(p.name for p in golden.iterdir())
+        assert sorted(p.name for p in outdir.iterdir()) == names
+        for name in names:
+            assert (outdir / name).read_bytes() == (golden / name).read_bytes(), name
+
+    def test_builder_golden(self, tmp_path, capsys):
+        target = tmp_path / "grid.dot"
+        rc = main(["dot", "--op", "U[3]", "--side", "left",
+                   "--seq", "0,1,0,1,1,1,0,1", "--emit-dot", str(target)])
+        capsys.readouterr()
+        assert rc == 0
+        assert target.read_bytes() == (GOLDEN / "builder_U3_left.dot").read_bytes()
 
     def test_full_run_needs_directory(self, sat_trace, capsys):
         rc = main(["dot", "--formula", "a", "--trace", sat_trace])

@@ -3,7 +3,8 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from pathcheck.circuit import G_VAR, apply, constants_are_sinks
+import pathcheck.circuit as circuit
+from pathcheck.circuit import G_VAR, apply, constants_are_sinks, is_identity
 from pathcheck.contraction import (
     ROOT,
     CheckResult,
@@ -303,6 +304,64 @@ class TestRunContraction:
         nodes = set(t.node_formula)
         run_contraction(t, workers=1)
         assert set(t.node_formula) == nodes
+
+
+class TestRawRowUnderShift:
+    """The right operand is leaf 1, contracted first, so the bounded operator
+    is the raw collapsed row; the shift above it makes the parent's label a
+    real transducer, which the row must meet evaluated."""
+
+    @pytest.mark.parametrize("text", ["X (a U[3] b)", "Y (a S[2] b)",
+                                      "wX (a R[1] b)", "wY (a T[4] b)"])
+    @pytest.mark.parametrize("n", [1, 2, 7, 64])
+    def test_matches_naive_and_keeps_invariants(self, text, n):
+        rng = random.Random(f"{text} {n}")
+        tr = random_trace(rng, n)
+        tree = init_tree(prune_bounds(to_pnf(parse(text)), n), tr)
+        leaf_b = tree.leaves_in_order()[1]
+        assert tree.slot[leaf_b] == 1
+        assert not is_identity(tree.labels[tree.parent[leaf_b]])
+        stages = []
+
+        def verify(t, stage):
+            verify_tree(t)
+            stages.append(stage)
+
+        got = run_contraction(tree, workers=1, on_stage=verify)
+        assert stages == [0, 1]
+        assert got == check(parse(text), tr, engine="naive").sequence
+
+
+# the few-literal formula families of the long-trace benchmark workload,
+# with their proposition densities
+GATE_BUDGET_FAMILIES = [
+    ("G ((!(req) | F[16] (ack)))", {"req": 0.05, "ack": 0.1}),
+    ("(a U (b U c))", {"a": 0.9, "b": 0.9, "c": 0.05}),
+    ("(H ((c | Y (d))) & (a S[3] e))", {"a": 0.8, "c": 0.7, "d": 0.5, "e": 0.1}),
+    ("(z & (p U[3] (q R r)))", {"z": 0.9, "p": 0.7, "q": 0.1, "r": 0.9}),
+]
+
+
+@pytest.mark.parametrize("text,densities", GATE_BUDGET_FAMILIES)
+def test_evaluate_gate_budget(monkeypatch, text, densities):
+    # gates passed into evaluate over one check: edge labels are spliced,
+    # not re-evaluated, so this stays a small multiple of n
+    n = 2048
+    rng = random.Random(text)
+    names = sorted(densities)
+    states = [{p for p in names if rng.random() < densities[p]} for _ in range(n)]
+    tr = make_trace(states, names)
+    real = circuit.evaluate
+    seen = []
+
+    def counting(c):
+        seen.append(len(c))
+        return real(c)
+
+    monkeypatch.setattr(circuit, "evaluate", counting)
+    result = check(parse(text), tr, workers=1)
+    assert sum(seen) <= 6 * n
+    assert result.sequence == check(parse(text), tr, engine="naive").sequence
 
 
 class TestCheck:
