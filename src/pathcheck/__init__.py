@@ -44,13 +44,13 @@ from .circuit import (
     Transducer,
     apply,
     compose,
-    compose_evaluated,
     constant_circuit,
     constants_are_sinks,
     evaluate,
     identity,
     to_dot,
 )
+from .rows import Label, compose_evaluated
 from .builder import (
     build_boolean,
     build_bounded,

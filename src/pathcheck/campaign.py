@@ -2,8 +2,7 @@
 
 Cases are generated from per-case integer seeds derived only from the
 campaign seed and the case index, so a campaign's verdict payload is
-identical no matter how cases are distributed over processes or how many
-threads the engine uses. The payload encodes every case's verdict sequence
+identical no matter how cases are distributed over processes. The payload encodes every case's verdict sequence
 (one byte per position, 0xff between cases, 0xfe for an engine error) and is
 hashed for quick comparison.
 """
@@ -58,7 +57,6 @@ class CampaignConfig:
     max_len: int = 50
     max_bound: int = 10
     seed: int = 0
-    workers: int = 1  # engine threads per case
 
 
 @dataclass(frozen=True)
@@ -136,7 +134,7 @@ def run_case(cfg: CampaignConfig, index: int) -> tuple[bytes, Optional[CaseFailu
     tr = random_trace(rng, cfg.max_len)
     expected = eval_seq(tr, f)
     try:
-        got = check(f, tr, engine="circuit", workers=cfg.workers).sequence
+        got = check(f, tr, engine="circuit").sequence
     except Exception as exc:  # an engine crash is a failed case, not a crash
         failure = CaseFailure(
             index, format_formula(f), to_csv(tr), expected, f"{type(exc).__name__}: {exc}"
@@ -195,10 +193,10 @@ def _spans(cases: int, processes: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + step, cases)) for lo in range(0, cases, step)]
 
 
-def _disagrees(f: Formula, tr: Trace, workers: int) -> bool:
+def _disagrees(f: Formula, tr: Trace) -> bool:
     expected = eval_seq(tr, f)
     try:
-        return check(f, tr, engine="circuit", workers=workers).sequence != expected
+        return check(f, tr, engine="circuit").sequence != expected
     except Exception:
         return True
 
@@ -211,11 +209,11 @@ def _children(f: Formula) -> list[Formula]:
     return [f.left, f.right]
 
 
-def minimize(f: Formula, tr: Trace, workers: int = 1) -> tuple[Formula, Trace]:
+def minimize(f: Formula, tr: Trace) -> tuple[Formula, Trace]:
     """Shrink a disagreeing (formula, trace) pair greedily: halve the trace
     while it still disagrees, then try replacing the formula with one of its
     children, repeating to a fixed point."""
-    if not _disagrees(f, tr, workers):
+    if not _disagrees(f, tr):
         return f, tr
     improved = True
     while improved:
@@ -225,14 +223,14 @@ def minimize(f: Formula, tr: Trace, workers: int = 1) -> tuple[Formula, Trace]:
             half = (n + 1) // 2
             for states in (tr.states[:half], tr.states[half:]):
                 cand = Trace(states, tr.alphabet)
-                if _disagrees(f, cand, workers):
+                if _disagrees(f, cand):
                     tr = cand
                     improved = True
                     break
             if improved:
                 continue
         for child in _children(f):
-            if size(child) >= 1 and _disagrees(child, tr, workers):
+            if size(child) >= 1 and _disagrees(child, tr):
                 f = child
                 improved = True
                 break

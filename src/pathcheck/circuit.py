@@ -6,15 +6,10 @@ in a copy but keeps the arena size, so a gate id stays meaningful across it.
 In an evaluated circuit no gate reads a constant and every Id gate points at
 a gate that is not an Id.
 
-`compose_evaluated` joins two evaluated transducers. It moves the constant
-outputs of the first into the second, which it then re-evaluates. After that
-nothing in the join can fold, so the join is spliced rather than evaluated:
-the gates are copied once and only the Id targets at the seam move, which is
-what evaluating the join would do. An identity side is never composed
-through. The result is compacted: every gate that is neither an input nor
-reachable from an output is dropped and the survivors are renumbered in
-their original order, so the interfaces keep their order and an edge label
-carries live gates only.
+This is the gate-level reading of a transducer. The engine keeps its edge
+labels as stacks of rows (`rows`), which expose this reading as a gate
+view; `evaluate`, `compose` and `apply` here referee the row code in tests,
+and `validate` and the DOT output work on either form.
 
 A transducer wraps a circuit with an ordered input interface (exactly its
 Var gates, each once) and an ordered output interface (any gates). Feeding
@@ -24,7 +19,6 @@ one transducer's outputs into another's inputs composes their functions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, compress
 
 from .errors import CircuitError
 
@@ -319,10 +313,6 @@ def evaluate(c: Circuit) -> Circuit:
     return Circuit(nk, na, nb)
 
 
-def evaluate_transducer(t: Transducer) -> Transducer:
-    return Transducer(evaluate(t.circuit), t.inputs, t.outputs)
-
-
 def compose(first: Transducer, second: Transducer) -> Transducer:
     """Disjoint union feeding first's outputs into second's inputs.
 
@@ -347,123 +337,6 @@ def compose(first: Transducer, second: Transducer) -> Transducer:
     return Transducer(c, first.inputs, tuple(o + off for o in second.outputs))
 
 
-def compose_evaluated(first: Transducer, second: Transducer) -> Transducer:
-    """Compose two evaluated transducers into an evaluated, compact one.
-
-    Constant outputs of `first` are moved into `second` as constant labels
-    on the corresponding input gates, and `second` is re-evaluated if
-    anything moved. This keeps constants from crossing the composition
-    boundary. The rest is joined by `_splice`, which gives what evaluating
-    the composed arena would give without walking it again. When either side
-    is an identity the result is the other side, evaluated if a gate in it
-    still reads a constant (a raw builder row); that is the only case in
-    which a side need not be evaluated.
-
-    The result holds only its inputs and the gates its outputs reach, in
-    their original relative order; interface order is unchanged.
-    """
-    if len(first.outputs) != len(second.inputs):
-        raise CircuitError(
-            f"arity mismatch: {len(first.outputs)} outputs fed into "
-            f"{len(second.inputs)} inputs"
-        )
-    if is_identity(first) or is_identity(second):
-        other = second if is_identity(first) else first
-        if not constants_are_sinks(other.circuit):
-            other = evaluate_transducer(other)
-        return compact(other)
-    fkind = first.circuit.kind
-    const_pos = [i for i, o in enumerate(first.outputs) if fkind[o] <= G_TRUE]
-    if const_pos:
-        moved = set(const_pos)
-        c2 = second.circuit.copy()
-        for i in const_pos:
-            gid = second.inputs[i]
-            c2.kind[gid] = fkind[first.outputs[i]]
-            c2.arg0[gid] = -1
-            c2.arg1[gid] = -1
-        live_in = tuple(g for i, g in enumerate(second.inputs) if i not in moved)
-        live_out = tuple(o for i, o in enumerate(first.outputs) if i not in moved)
-        first = Transducer(first.circuit, first.inputs, live_out)
-        second = Transducer(evaluate(c2), live_in, second.outputs)
-    return compact(_splice(first, second))
-
-
-def _splice(first: Transducer, second: Transducer) -> Transducer:
-    """`evaluate` of `compose(first, second)`, built in one pass.
-
-    Both sides must be evaluated and no output of `first` may be a constant.
-    Then no gate of the join reads a constant and nothing folds: `first`'s
-    gates are copied unchanged, each input gate of `second` becomes an Id of
-    the output it is fed (or of that output's target, if it is an Id), each
-    Id gate of `second` that reads an input follows it there, and every other
-    gate is shifted past `first`, And/Or gates keeping their operand pointers.
-    """
-    fc, sc = first.circuit, second.circuit
-    off = len(fc)
-    fkind, farg0 = fc.kind, fc.arg0
-    fed = [farg0[o] if fkind[o] == G_ID else o for o in first.outputs]
-    # where an Id gate of second points in the join
-    id_target = list(range(off, off + len(sc)))
-    for g, t in zip(second.inputs, fed):
-        id_target[g] = t
-    kind = fkind + sc.kind
-    arg0 = farg0 + [
-        id_target[a] if k == G_ID else (a + off if k > G_ID else -1)
-        for k, a in zip(sc.kind, sc.arg0)
-    ]
-    arg1 = fc.arg1 + [b + off if b >= 0 else -1 for b in sc.arg1]
-    for g, t in zip(second.inputs, fed):
-        kind[g + off] = G_ID
-        arg0[g + off] = t
-    return Transducer(
-        Circuit(kind, arg0, arg1), first.inputs, tuple(o + off for o in second.outputs)
-    )
-
-
-def compact(t: Transducer) -> Transducer:
-    """Drop the gates that are neither inputs nor reachable from an output,
-    renumbering the rest in their original order."""
-    c = t.circuit
-    kind, arg0, arg1 = c.kind, c.arg0, c.arg1
-    m = len(kind)
-    if len(set(t.inputs).union(t.outputs)) == m:
-        return t  # every gate is an interface gate, as in a builder row
-    keep = bytearray(m)
-    for g in t.inputs:
-        keep[g] = 1
-    stack = list(t.outputs)
-    while stack:
-        g = stack.pop()
-        if keep[g]:
-            continue
-        keep[g] = 1
-        k = kind[g]
-        if k >= G_ID:
-            a = arg0[g]
-            if not keep[a]:
-                stack.append(a)
-            if k >= G_AND:
-                b = arg1[g]
-                if not keep[b]:
-                    stack.append(b)
-    live = list(compress(range(m), keep))
-    if len(live) == m:
-        return t
-    # new id of gate g is rank[g + 1]; rank[0] = -1 keeps "no operand" as -1
-    rank = list(accumulate(keep, initial=-1))
-    out = Circuit(
-        [kind[g] for g in live],
-        [rank[arg0[g] + 1] for g in live],
-        [rank[arg1[g] + 1] for g in live],
-    )
-    return Transducer(
-        out,
-        tuple(rank[g + 1] for g in t.inputs),
-        tuple(rank[g + 1] for g in t.outputs),
-    )
-
-
 def apply(t: Transducer, bits) -> tuple[bool, ...]:
     """Output bits of the transducer on a full input assignment."""
     bits = tuple(bits)
@@ -471,8 +344,6 @@ def apply(t: Transducer, bits) -> tuple[bool, ...]:
         raise CircuitError(
             f"arity mismatch: {len(bits)} bits for {len(t.inputs)} inputs"
         )
-    if is_identity(t):
-        return tuple(map(bool, bits))
     kind = t.circuit.kind
     arg0 = t.circuit.arg0
     arg1 = t.circuit.arg1

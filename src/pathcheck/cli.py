@@ -2,7 +2,7 @@
 
 Subcommands: check (decide one formula over one trace), dot (DOT dumps of
 builder circuits or of every contraction stage), selftest (randomized
-differential campaign against the oracle), bench (engine timing grid).
+differential campaign against the oracle).
 
 Exit codes: 0 = satisfied / selftest passed / success, 1 = violated /
 selftest failed, 2 = usage or input errors.
@@ -12,19 +12,19 @@ from __future__ import annotations
 
 import argparse
 import os
-import random
 import re
 import sys
 import time
 from pathlib import Path as FsPath
 
 from . import builder as builder_mod
-from .campaign import ALPHABET, CampaignConfig, minimize, random_formula, run_campaign
-from .circuit import Transducer, dot_lines, to_dot
+from .campaign import CampaignConfig, minimize, run_campaign
+from .circuit import dot_lines, to_dot
 from .contraction import ContractionRecord, ContractionTree, check, init_tree, run_contraction
 from .errors import BuildError, PathcheckError
-from .formula import format_formula, parse, prune_bounds, size, to_pnf
-from .trace import Trace, load_trace, to_csv
+from .formula import format_formula, parse, prune_bounds, to_pnf
+from .rows import Label
+from .trace import load_trace, to_csv
 
 
 def main(argv=None) -> int:
@@ -58,8 +58,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _formula_args(p_check)
     _trace_args(p_check)
     p_check.add_argument("--engine", choices=("circuit", "naive"), default="circuit")
-    p_check.add_argument("--workers", type=int, default=None,
-                         help="engine threads (default: machine parallelism)")
     p_check.add_argument("--emit-sequence", action="store_true",
                          help="also print the satisfaction bit for every position")
     p_check.set_defaults(func=cmd_check)
@@ -72,7 +70,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_dot.add_argument("--arity", type=int, help="trace length for shift builders")
     _formula_args(p_dot)
     _trace_args(p_dot)
-    p_dot.add_argument("--workers", type=int, default=None)
     p_dot.add_argument("--emit-dot", metavar="PATH",
                        help="output file (builder mode) or directory (one file per stage)")
     p_dot.set_defaults(func=cmd_dot)
@@ -83,18 +80,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_self.add_argument("--max-size", type=int, default=20)
     p_self.add_argument("--max-len", type=int, default=50)
     p_self.add_argument("--max-bound", type=int, default=10)
-    p_self.add_argument("--workers", type=int, default=1, help="engine threads per case")
     p_self.add_argument("--processes", type=int, default=max(1, os.cpu_count() or 1),
                         help="processes to spread cases over (default: machine parallelism)")
     p_self.set_defaults(func=cmd_selftest)
-
-    p_bench = sub.add_parser("bench", help="timing grid over formula and trace sizes")
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--workers", type=int, default=None)
-    p_bench.add_argument("--sizes", default="8,16,32", help="formula size budgets")
-    p_bench.add_argument("--lens", default="16,64,256", help="trace lengths")
-    p_bench.add_argument("--repeat", type=int, default=3, help="runs per cell (best is kept)")
-    p_bench.set_defaults(func=cmd_bench)
     return parser
 
 
@@ -130,7 +118,7 @@ def cmd_check(args) -> int:
     tr = _read_trace(args)
     record = ContractionRecord() if args.engine == "circuit" else None
     t0 = time.perf_counter()
-    result = check(f, tr, engine=args.engine, workers=args.workers, record=record)
+    result = check(f, tr, engine=args.engine, record=record)
     wall_ms = (time.perf_counter() - t0) * 1000.0
     print("SATISFIED" if result.satisfied else "VIOLATED")
     if record is not None:
@@ -152,7 +140,7 @@ def _parse_seq(text: str) -> tuple[bool, ...]:
     return tuple(p == "1" for p in parts)
 
 
-def _build_from_op(args) -> Transducer:
+def _build_from_op(args) -> Label:
     op = args.op
     if op in ("X", "wX", "Y", "wY"):
         if args.arity is None:
@@ -213,7 +201,7 @@ def cmd_dot(args) -> int:
 
     g = prune_bounds(to_pnf(f), len(tr))
     tree = init_tree(g, tr)
-    seq = run_contraction(tree, workers=args.workers, on_stage=dump)
+    seq = run_contraction(tree, on_stage=dump)
     print(f"wrote {len(written)} stage files to {outdir}")
     print("SATISFIED" if seq[0] else "VIOLATED")
     return 0
@@ -226,14 +214,14 @@ def cmd_selftest(args) -> int:
         max_len=args.max_len,
         max_bound=args.max_bound,
         seed=args.seed,
-        workers=args.workers,
     )
     print(
         f"selftest: {cfg.cases} cases, max size {cfg.max_size}, max len {cfg.max_len}, "
         f"max bound {cfg.max_bound}, seed {cfg.seed}, {args.processes} processes"
     )
     result = run_campaign(cfg, processes=args.processes)
-    print(f"elapsed: {result.elapsed:.1f}s  digest: {result.digest}")
+    print(f"elapsed: {result.elapsed:.1f}s")
+    print(f"digest: {result.digest}")
     if result.ok:
         print(f"PASS: {result.total} cases agree with the oracle")
         return 0
@@ -243,7 +231,7 @@ def cmd_selftest(args) -> int:
     print(f"  formula: {first.formula}")
     print(f"  got: {first.got}")
     print(f"  expected: {first.expected}")
-    small_f, small_tr = minimize(parse(first.formula), load_trace(first.trace_csv), args.workers)
+    small_f, small_tr = minimize(parse(first.formula), load_trace(first.trace_csv))
     print("minimized counterexample:")
     print(f"  formula: {format_formula(small_f)}")
     print("  trace (csv):")
@@ -251,37 +239,3 @@ def cmd_selftest(args) -> int:
         print(f"    {line}")
     return 1
 
-
-def cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
-    lens = [int(s) for s in args.lens.split(",") if s.strip()]
-    workers = args.workers if args.workers is not None else (os.cpu_count() or 1)
-    print("formula_size,trace_len,engine,workers,stages,wall_ms")
-    rows = 0
-    for budget in sizes:
-        for n in lens:
-            rng = random.Random(args.seed * 7_919 + budget * 101 + n)
-            f = random_formula(rng, budget, max_bound=8)
-            states = tuple(
-                frozenset(p for p in ALPHABET if rng.random() < 0.5) for _ in range(n)
-            )
-            tr = Trace(states, tuple(ALPHABET))
-            runs = [("circuit", 1), ("naive", 1)]
-            if workers != 1:
-                runs.insert(1, ("circuit", workers))
-            for engine, w in runs:
-                best = None
-                stages = ""
-                for _ in range(max(1, args.repeat)):
-                    record = ContractionRecord() if engine == "circuit" else None
-                    t0 = time.perf_counter()
-                    check(f, tr, engine=engine, workers=w, record=record)
-                    dt = (time.perf_counter() - t0) * 1000.0
-                    if best is None or dt < best:
-                        best = dt
-                    if record is not None:
-                        stages = str(record.stages)
-                print(f"{size(f)},{len(tr)},{engine},{w},{stages},{best:.2f}")
-                rows += 1
-    print(f"# {rows} rows", file=sys.stderr)
-    return 0

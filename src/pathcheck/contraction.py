@@ -5,36 +5,28 @@ whose leaves are its literals; unary step operators are swallowed into the
 edges. Every edge carries a transducer that maps the sequence produced below
 the edge to the sequence the rest of the formula expects.
 
-Contracting a leaf evaluates its literal through its edge, specializes the
-parent operator on the known operand (one builder call), and splices the
-sibling's edge, the specialized operator, and the parent's edge into a single
-evaluated transducer. Leaves are numbered left to right; every stage removes
-all odd-numbered leaves (left children first, then right children, so the
-removals in one pass never touch each other), then halves the numbers. A tree
-with L leaves therefore contracts in exactly ceil(log2 L) stages, and the
-last leaf's edge maps its literal to the whole formula's sequence.
+Every edge label is a stack of n-wide rows (`rows.Label`). Contracting a
+leaf applies its edge to its literal's bit column, specializes the parent
+operator on the known operand (one builder call), and composes the sibling's
+edge, the specialized operator and the parent's edge into one evaluated
+label, folding constants only where the stacks meet. Leaves are numbered
+left to right; every stage removes all odd-numbered leaves (left children
+first, then right children, so the removals in one pass never touch each
+other), then halves the numbers. A tree with L leaves therefore contracts in
+exactly ceil(log2 L) stages, and the last leaf's edge maps its literal to
+the whole formula's sequence.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+import numpy as np
+
 from . import builder
-from .circuit import (
-    Transducer,
-    apply,
-    compact,
-    compose_evaluated,
-    constants_are_sinks,
-    evaluate_transducer,
-    identity,
-    is_identity,
-    validate,
-)
+from .circuit import constants_are_sinks, validate
 from .errors import ContractionError, TraceError
 from .formula import (
     And,
@@ -58,7 +50,8 @@ from .formula import (
     subformula_occurrences,
     to_pnf,
 )
-from .trace import Trace, atom_sequence
+from .rows import Label, apply, compose_evaluated, identity
+from .trace import Trace, atom_sequence, require_known
 
 ROOT = -1
 
@@ -81,7 +74,7 @@ class ContractionTree:
 
     Nodes are identified by their subformula-occurrence index in the PNF
     formula; ROOT (-1) marks the region above the topmost node. `labels[v]`
-    is the transducer on the edge from v's parent down to v, and
+    is the row label on the edge from v's parent down to v, and
     `edge_formula[v]` is the subformula whose sequence that edge must emit
     when fed v's sequence (it differs from v's own formula exactly when the
     edge swallowed unary operators, and is inherited when edges merge).
@@ -107,10 +100,10 @@ class ContractionTree:
         self.parent: dict[int, int] = {}
         self.slot: dict[int, int] = {}
         self.children: dict[int, list[int]] = {}
-        self.labels: dict[int, Transducer] = {}
+        self.labels: dict[int, Label] = {}
         self.edge_formula: dict[int, Formula] = {}
         self.leaf_numbers: dict[int, int] = {}
-        self.literal_bits: dict[int, tuple[bool, ...]] = {}
+        self.literal_bits: dict[int, np.ndarray] = {}
 
     def copy(self) -> "ContractionTree":
         t = ContractionTree.__new__(ContractionTree)
@@ -151,14 +144,15 @@ def init_tree(f: Formula, trace: Trace) -> ContractionTree:
 
     Unary operators never become nodes: each maximal unary chain is composed
     (innermost first) into the label of the edge to the first non-unary
-    subformula beneath it, the innermost shift taking the place of the
-    identity. Every edge starts from one shared identity, which is what edges
-    without unary operators keep.
+    subformula beneath it; shift rows fuse, so such a label stays one row.
+    Edges without unary operators keep the identity. Each distinct literal's
+    bit column is built once, as a bool array shared by its leaves.
     """
     occs = subformula_occurrences(f)  # raises FormulaError unless PNF
     tree = ContractionTree(trace)
     n = tree.n
     ident = identity(n)
+    columns: dict[tuple[str, bool], np.ndarray] = {}
     unary_idx = {
         o.index for o in occs if isinstance(o.formula, UNARY_TEMPORAL)
     }
@@ -178,8 +172,7 @@ def init_tree(f: Formula, trace: Trace) -> ContractionTree:
             # climbing outward: the shift just climbed must transform the
             # sequence after everything already in the label, i.e. compose on
             # the output side
-            shift = builder.build_shift(n, _UNARY_TOKEN[type(u)])
-            label = shift if label is ident else compose_evaluated(label, shift)
+            label = compose_evaluated(label, builder.build_shift(n, _UNARY_TOKEN[type(u)]))
             top_formula = u
             slot = occs[p].slot
             p = occs[p].parent
@@ -189,8 +182,10 @@ def init_tree(f: Formula, trace: Trace) -> ContractionTree:
         tree.labels[node] = label
         tree.edge_formula[node] = top_formula
         if is_literal(occ.formula):
-            name, negated = literal_parts(occ.formula)
-            tree.literal_bits[node] = atom_sequence(trace, name, negated)
+            key = literal_parts(occ.formula)
+            if key not in columns:
+                columns[key] = np.array(atom_sequence(trace, *key), dtype=bool)
+            tree.literal_bits[node] = columns[key]
         else:
             tree.children[node] = [-2, -2]
     tree.children[ROOT] = [-2]
@@ -214,12 +209,12 @@ class _Plan:
     sibling: int
     grandparent: int
     parent_slot: int
-    new_label: Transducer
+    new_label: Label
 
 
-def _build_partial(f: Formula, known_side: str, known, n: int) -> Transducer:
-    """The operator f specialized on its known operand, evaluated and compact
-    like every edge label."""
+def _build_partial(f: Formula, known_side: str, known, n: int) -> Label:
+    """The operator f specialized on its known operand: evaluated, except for
+    the raw collapsed row of a bounded operator with its right side known."""
     kind = _PARTIAL_BINARY.get(type(f))
     if kind is None:
         raise ContractionError(f"not a binary operator node: {format_formula(f)}")
@@ -227,10 +222,7 @@ def _build_partial(f: Formula, known_side: str, known, n: int) -> Transducer:
     if op in ("&", "|"):
         return builder.build_boolean(n, op, known)
     if flavour == "bounded":
-        t = builder.build_bounded(n, op, f.bound, known_side, known)
-        if known_side == "right":
-            return evaluate_transducer(t)  # the raw collapsed row
-        return compact(t)  # the grid, whose inner Id gates are dead
+        return builder.build_bounded(n, op, f.bound, known_side, known)
     return builder.build_unbounded(n, op, known_side, known)
 
 
@@ -245,10 +237,10 @@ def _plan(tree: ContractionTree, leaf: int) -> _Plan:
     known = apply(tree.labels[leaf], tree.literal_bits[leaf])
     side = "left" if tree.slot[leaf] == 0 else "right"
     partial = _build_partial(tree.node_formula[p], side, known, tree.n)
-    # labels are evaluated and compact, so an identity side is left out
-    above, below = tree.labels[p], tree.labels[sibling]
-    lifted = partial if is_identity(above) else compose_evaluated(partial, above)
-    new_label = lifted if is_identity(below) else compose_evaluated(below, lifted)
+    # the partial goes on top of the sibling's edge first, so that a raw row
+    # is the bottom of `second`, where compose_evaluated folds it
+    joined = compose_evaluated(tree.labels[sibling], partial)
+    new_label = compose_evaluated(joined, tree.labels[p])
     return _Plan(leaf, p, sibling, grandparent, tree.slot[p], new_label)
 
 
@@ -284,12 +276,11 @@ class ContractionRecord:
     stages: int = 0
     leaf_counts: list[int] = field(default_factory=list)
     selections: list[tuple[int, int, tuple[int, ...]]] = field(default_factory=list)
-    final_gates: int = 0  # arena size of the last remaining edge label
+    final_gates: int = 0  # gate-view size of the last remaining edge label
 
 
 def run_contraction(
     tree: ContractionTree,
-    workers: Optional[int] = None,
     record: Optional[ContractionRecord] = None,
     on_stage: Optional[Callable[[ContractionTree, int], None]] = None,
 ) -> tuple[bool, ...]:
@@ -298,14 +289,10 @@ def run_contraction(
     Each stage removes the odd-numbered leaves: first those that are left
     children, then (re-examining the tree) those that are right children.
     Within a pass the removals are structurally disjoint, so their plans are
-    computed from the same tree snapshot (in parallel when workers > 1) and
-    applied in leaf-number order; the result never depends on scheduling.
+    computed from the same tree snapshot and the order in which they are
+    applied does not matter.
     """
     t = tree.copy()
-    if workers is None:
-        workers = os.cpu_count() or 1
-    if workers < 1:
-        raise ContractionError("workers must be at least 1")
     numbers = t.leaf_numbers
     initial = len(numbers)
     if initial == 0:
@@ -317,48 +304,39 @@ def run_contraction(
     if on_stage is not None:
         on_stage(t, 0)
     stage = 0
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        while len(numbers) > 1:
-            stage += 1
-            if stage > budget:
-                raise ContractionError(
-                    f"stage budget {budget} exceeded on {initial} leaves"
-                )
-            for half in (0, 1):
-                selected = sorted(
-                    (leaf for leaf, num in numbers.items() if num & 1 and t.slot[leaf] == half),
-                    key=numbers.__getitem__,
-                )
-                if not selected:
-                    continue
-                selected_numbers = tuple(numbers[lf] for lf in selected)
-                if pool is not None and len(selected) > 1:
-                    plans = list(pool.map(lambda lf: _plan(t, lf), selected))
-                else:
-                    plans = [_plan(t, lf) for lf in selected]
-                _assert_disjoint(plans)
-                for plan in plans:
-                    _apply_plan(t, plan)
-                if record is not None:
-                    record.selections.append((stage, half, selected_numbers))
-            for leaf in numbers:
-                if numbers[leaf] & 1:
-                    raise ContractionError(f"leaf {leaf} survived stage {stage} odd")
-            for leaf in numbers:
-                numbers[leaf] >>= 1
+    while len(numbers) > 1:
+        stage += 1
+        if stage > budget:
+            raise ContractionError(
+                f"stage budget {budget} exceeded on {initial} leaves"
+            )
+        for half in (0, 1):
+            selected = sorted(
+                (leaf for leaf, num in numbers.items() if num & 1 and t.slot[leaf] == half),
+                key=numbers.__getitem__,
+            )
+            if not selected:
+                continue
             if record is not None:
-                record.leaf_counts.append(len(numbers))
-            if on_stage is not None:
-                on_stage(t, stage)
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=False)
+                record.selections.append((stage, half, tuple(numbers[lf] for lf in selected)))
+            plans = [_plan(t, lf) for lf in selected]
+            _assert_disjoint(plans)
+            for plan in plans:
+                _apply_plan(t, plan)
+        for leaf in numbers:
+            if numbers[leaf] & 1:
+                raise ContractionError(f"leaf {leaf} survived stage {stage} odd")
+        for leaf in numbers:
+            numbers[leaf] >>= 1
+        if record is not None:
+            record.leaf_counts.append(len(numbers))
+        if on_stage is not None:
+            on_stage(t, stage)
     last = t.top()
     if record is not None:
         record.stages = stage
-        record.final_gates = len(t.labels[last].circuit)
-    return apply(t.labels[last], t.literal_bits[last])
+        record.final_gates = (len(t.labels[last].rows) + 1) * t.n
+    return tuple(apply(t.labels[last], t.literal_bits[last]).tolist())
 
 
 def _assert_disjoint(plans: list[_Plan]) -> None:
@@ -382,8 +360,8 @@ def verify_tree(tree: ContractionTree) -> None:
 
     Structure: ROOT has one child, inner nodes two, every parent/slot/child
     pointer agrees, leaves are exactly the literal nodes and carry numbers.
-    Labels: every edge holds a transducer with n inputs and n outputs whose
-    inputs are exactly its variable gates, acyclic, constants only at sinks.
+    Labels: every edge holds an n -> n label whose gate view is valid
+    (inputs exactly its variable gates, acyclic) with constants only at sinks.
     Semantics: feeding a node's own sequence through its edge label yields
     the sequence of the subformula the edge stands for.
     """
@@ -431,7 +409,7 @@ def verify_tree(tree: ContractionTree) -> None:
             raise ContractionError(f"edge to {v} is not evaluated")
         child_seq = eval_seq(tree.trace, tree.node_formula[v])
         want = eval_seq(tree.trace, tree.edge_formula[v])
-        if apply(label, child_seq) != want:
+        if tuple(apply(label, child_seq).tolist()) != want:
             raise ContractionError(f"edge to {v} does not compute its subformula")
 
 
@@ -445,7 +423,6 @@ def check(
     f: Formula,
     trace: Trace,
     engine: str = "circuit",
-    workers: Optional[int] = None,
     record: Optional[ContractionRecord] = None,
 ) -> CheckResult:
     """Decide whether the trace satisfies the formula (at position 0).
@@ -456,8 +433,7 @@ def check(
     """
     if len(trace) == 0:
         raise TraceError("cannot check an empty trace")
-    for name in sorted(atom_names(f)):
-        atom_sequence(trace, name)  # raises UnknownProposition early
+    require_known(trace, atom_names(f))
     if engine == "naive":
         from .semantics import eval_seq
 
@@ -465,7 +441,7 @@ def check(
     elif engine == "circuit":
         g = prune_bounds(to_pnf(f), len(trace))
         tree = init_tree(g, trace)
-        seq = run_contraction(tree, workers=workers, record=record)
+        seq = run_contraction(tree, record=record)
     else:
         raise ContractionError(f"unknown engine {engine!r}")
     return CheckResult(seq[0], seq)

@@ -1,0 +1,243 @@
+"""Edge labels as stacks of n-wide rows, applied and folded by numpy scans.
+
+Every builder emits its transducer as rows of n cells, and composing such
+transducers stacks the rows, so the contraction keeps its edge labels in that
+shape. A label is a tuple of rows, bottom first; the empty stack is the
+identity. Row r reads the row below it (row 0 reads the variables):
+
+- FALSE and TRUE cells are constants;
+- ID cells copy the row below at a[i], AND and OR cells combine it at a[i]
+  and b[i];
+- chain cells also read their own row at i + d, d (+1 or -1) being the row's
+  chain direction: COPY copies that cell, CHAIN_AND and CHAIN_OR combine it
+  with the row below at a[i]. The far end of a chain is never a chain cell.
+
+A chain is a prefix computation: a chain cell takes the value of the next
+settled cell in direction d, which one `np.minimum.accumulate` (maximum, for
+d = -1) finds for the whole row. So `apply` is a gather and at most one scan
+per row.
+
+A label is evaluated when no cell reads a constant. `compose_evaluated`
+stacks two labels and folds the constants at the seam upward: a table lookup
+per cell, then two chain scans (0 flows through COPY and CHAIN_AND cells, 1
+through COPY and CHAIN_OR cells), stopping at the first row that gains no
+constant. It drops every row below an all-constant row and fuses each
+pure-gather row (constants and IDs, such as a shift) into the row above by
+composing indices. Labels keep the reading interface of `circuit.Transducer`
+through a gate view built on demand, so the gate-level `validate`,
+`evaluate`, `compose`, `apply` and DOT output work on them.
+"""
+
+from __future__ import annotations
+
+from itertools import product
+
+import numpy as np
+
+from .circuit import G_AND, G_FALSE, G_ID, G_OR, G_TRUE, G_VAR, Circuit
+from .errors import CircuitError
+
+# Cell kinds, ordered so that a row's largest kind classifies it: at most
+# TRUE is all constant, at most ID a pure gather, at least COPY has chains.
+FALSE, TRUE, ID, AND, OR, COPY, CHAIN_AND, CHAIN_OR = range(8)
+
+_GATE_KIND = np.array([G_FALSE, G_TRUE, G_ID, G_AND, G_OR, G_ID, G_AND, G_OR])
+
+# _APPLY[kind, x, y]: a cell's value when the row below holds x at a[i] and
+# y at b[i]; 2 means the value of the next cell along the chain.
+_NEXT = 2
+_APPLY = np.array([
+    [[0, 0], [0, 0]],  # FALSE
+    [[1, 1], [1, 1]],  # TRUE
+    [[0, 0], [1, 1]],  # ID
+    [[0, 0], [0, 1]],  # AND
+    [[0, 1], [1, 1]],  # OR
+    [[2, 2], [2, 2]],  # COPY
+    [[0, 0], [2, 2]],  # CHAIN_AND
+    [[2, 2], [1, 1]],  # CHAIN_OR
+], dtype=np.uint8)
+
+# 0/1 for a constant kind, 2 for any other
+_CONST = np.array([0, 1, 2, 2, 2, 2, 2, 2], dtype=np.uint8)
+
+
+def _local_fold(kind: int, x: int, y: int) -> tuple[int, bool]:
+    """A cell's kind once the row below is known to hold x at a[i] and y at
+    b[i] (2: not a constant), and whether the operand that survives is b."""
+    absorbing = 0 if kind in (AND, CHAIN_AND) else 1
+    if kind == ID:
+        return (ID if x == 2 else x), False
+    if kind in (AND, OR):
+        if absorbing in (x, y) or 2 not in (x, y):
+            return (absorbing if absorbing in (x, y) else 1 - absorbing), False
+        return (kind if x == y else ID), x != 2
+    if kind in (CHAIN_AND, CHAIN_OR):
+        return (kind if x == 2 else absorbing if x == absorbing else COPY), False
+    return kind, False  # constants and COPY read nothing below
+
+
+_FOLD = np.zeros((8, 3, 3), dtype=np.uint8)
+_SWAP = np.zeros((8, 3, 3), dtype=bool)
+for _k, _x, _y in product(range(8), range(3), range(3)):
+    _FOLD[_k, _x, _y], _SWAP[_k, _x, _y] = _local_fold(_k, _x, _y)
+
+# the chain kinds a 0 (resp. a 1) flows through
+_THROUGH = {FALSE: np.isin(np.arange(8), (COPY, CHAIN_AND)),
+            TRUE: np.isin(np.arange(8), (COPY, CHAIN_OR))}
+# _CUT[kind, neighbour kind]: a chain AND/OR next to a constant is an ID of
+# its operand below (the constant cases that absorb were settled before)
+_CUT = np.tile(np.arange(8, dtype=np.uint8)[:, None], (1, 8))
+_CUT[CHAIN_AND:, :TRUE + 1] = ID
+
+
+class Row:
+    """One row: cell kinds, operand indices a and b into the row below (valid
+    indices even where unused) and the chain direction d (0 without chains).
+    A raw row (a builder's collapsed bounded row) may have chain cells that
+    read constants; folding it settles them. Rows are never mutated."""
+
+    __slots__ = ("kind", "a", "b", "d", "raw", "top", "consts")
+
+    def __init__(self, kind, a, b=None, d: int = 0, raw: bool = False):
+        self.kind = kind
+        self.a = a
+        self.b = a if b is None else b
+        self.d = d
+        self.raw = raw
+        self.top = int(kind.max())
+        self.consts = int(np.count_nonzero(kind <= TRUE))
+
+
+class Label:
+    """An n -> n transducer as a stack of rows, bottom first."""
+
+    __slots__ = ("n", "rows", "_view")
+
+    def __init__(self, n: int, rows=()):
+        self.n = n
+        self.rows = tuple(rows)
+        self._view = None
+
+    @property
+    def circuit(self) -> Circuit:
+        """The gate view: variables 0..n-1, then row r at gates (r+1)*n + i.
+        An ID (or COPY) gate points at the final target of any ID chain it
+        reads; AND and OR gates keep their operands."""
+        if self._view is None:
+            self._view = _flatten(self)
+        return self._view
+
+    inputs = property(lambda self: tuple(range(self.n)))
+    arity_in = arity_out = property(lambda self: self.n)
+
+    @property
+    def outputs(self) -> tuple[int, ...]:
+        start = len(self.rows) * self.n
+        return tuple(range(start, start + self.n))
+
+
+def identity(n: int) -> Label:
+    """The empty stack: n inputs wired straight through."""
+    if n < 0:
+        raise CircuitError("identity arity must be non-negative")
+    return Label(n)
+
+
+def _next(stop, d: int) -> np.ndarray:
+    """For every cell, the first cell at or after it in direction d where
+    `stop` holds; a chain's far end always stops it."""
+    n = len(stop)
+    if d > 0:
+        return np.minimum.accumulate(np.where(stop, np.arange(n), n)[::-1])[::-1]
+    return np.maximum.accumulate(np.where(stop, np.arange(n), -1))
+
+
+def apply(label: Label, bits) -> np.ndarray:
+    """Output bits of the label on its n input bits, as a bool array."""
+    v = np.asarray(bits, dtype=bool)
+    if v.shape != (label.n,):
+        raise CircuitError(f"arity mismatch: {len(v)} bits for {label.n} inputs")
+    v = v.view(np.uint8)
+    for row in label.rows:
+        v = _APPLY[row.kind, v[row.a], v[row.b]]
+        if row.top >= COPY:
+            v = v[_next(v != _NEXT, row.d)]
+    return v.view(bool)
+
+
+def fold(row: Row, below: Row | None = None) -> Row:
+    """The row with the constants of `below` (None: the variables) folded in
+    and let flow along its chains; the row itself when nothing changes."""
+    kind, a = row.kind, row.a
+    if below is not None and below.consts:
+        const = _CONST[below.kind]
+        x, y = const[a], const[row.b]
+        kind = _FOLD[kind, x, y]
+        swap = _SWAP[row.kind, x, y]
+        if swap.any():
+            a = np.where(swap, row.b, a)
+    elif not row.raw:
+        return row
+    if row.top >= COPY and (row.raw or np.count_nonzero(kind <= TRUE) > row.consts):
+        for value, through in _THROUGH.items():
+            passes = through[kind]
+            reached = passes & (kind[_next(~passes, row.d)] == value)
+            kind = np.where(reached, value, kind).astype(np.uint8, copy=False)
+        # the far end's wrapped-around neighbour does not matter: not a chain cell
+        kind = _CUT[kind, np.roll(kind, -row.d)]
+    return Row(kind, a, row.b, row.d)
+
+
+def compose_evaluated(first: Label, second: Label) -> Label:
+    """`second` after `first`, evaluated: the stacked rows with the seam
+    folded, dead rows dropped and pure-gather rows fused into the row above.
+
+    Both labels must be evaluated, except that the bottom row of `second`
+    may be raw.
+    """
+    if first.n != second.n:
+        raise CircuitError(f"arity mismatch: {first.n} outputs fed into {second.n} inputs")
+    if not second.rows:
+        return first
+    seam = len(first.rows)
+    rows = list(first.rows + second.rows)
+    below = rows[seam - 1] if seam else None
+    for r in range(seam, len(rows)):
+        row = rows[r]
+        below = rows[r] = fold(row, below)
+        if below.consts == row.consts:
+            break  # nothing new for the rows above to fold
+    for r in range(len(rows) - 1, 0, -1):
+        if rows[r].top <= TRUE:  # reads nothing below
+            del rows[:r]
+            break
+    fused = []
+    for row in rows:
+        if fused and fused[-1].top <= ID:
+            gather = fused.pop().a
+            b = gather[row.b] if row.b is not row.a else None
+            row = Row(row.kind, gather[row.a], b, row.d)
+        fused.append(row)
+    return Label(first.n, fused)
+
+
+def _flatten(label: Label) -> Circuit:
+    n = label.n
+    at = np.arange(n)
+    kind, arg0, arg1 = [G_VAR] * n, [-1] * n, [-1] * n
+    target = at  # per cell of the row below: the gate an ID reading it points at
+    for r, row in enumerate(label.rows):
+        k = row.kind
+        own = (r + 1) * n + at
+        target = np.where(k == ID, target[row.a], own)
+        if row.top >= COPY:
+            target = target[_next(k != COPY, row.d)]
+        below = r * n
+        kind += _GATE_KIND[k].tolist()
+        arg0 += np.where(
+            k <= TRUE, -1, np.where((k == ID) | (k == COPY), target, below + row.a)
+        ).tolist()
+        arg1 += np.where(
+            (k == AND) | (k == OR), below + row.b, np.where(k >= CHAIN_AND, own + row.d, -1)
+        ).tolist()
+    return Circuit(kind, arg0, arg1)

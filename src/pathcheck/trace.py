@@ -161,10 +161,17 @@ def atom_sequence(trace: Trace, name: str, negated: bool = False) -> tuple[bool,
         bits = [True] * len(trace)
     elif name == FALSE_NAME:
         bits = [False] * len(trace)
-    elif name in trace.alphabet:
-        bits = [name in st for st in trace.states]
     else:
-        raise UnknownProposition(f"proposition {name!r} is not in the trace alphabet")
+        require_known(trace, (name,))
+        bits = [name in st for st in trace.states]
     if negated:
         bits = [not b for b in bits]
     return tuple(bits)
+
+
+def require_known(trace: Trace, names) -> None:
+    """Raise UnknownProposition for the first name, in sorted order, that is
+    neither reserved nor in the trace alphabet."""
+    unknown = sorted(set(names).difference(RESERVED_NAMES, trace.alphabet))
+    if unknown:
+        raise UnknownProposition(f"proposition {unknown[0]!r} is not in the trace alphabet")

@@ -1,9 +1,12 @@
-"""Shared test utilities: bit-parallel truth tables and random circuits."""
+"""Shared test utilities: bit-parallel truth tables, random circuits and
+random row labels."""
 
 from __future__ import annotations
 
 import random
 
+from pathcheck import contraction
+from pathcheck.builder import build_boolean, build_bounded, build_shift, build_unbounded
 from pathcheck.circuit import (
     G_AND,
     G_FALSE,
@@ -15,6 +18,7 @@ from pathcheck.circuit import (
     Transducer,
     evaluate,
 )
+from pathcheck.rows import Label, compose_evaluated, identity
 
 
 def truth_table(t: Transducer) -> tuple[int, ...]:
@@ -88,8 +92,7 @@ def random_evaluated_transducer(
     """A random DAG circuit, evaluated so constants are sinks.
 
     Outputs are drawn with replacement-free sampling when possible and may
-    well be constants, which is exactly what compose_evaluated has to cope
-    with.
+    well be constants.
     """
     c = Circuit()
     inputs = tuple(c.add_var() for _ in range(arity_in))
@@ -113,3 +116,49 @@ def random_evaluated_transducer(
 
 def random_bits(rng: random.Random, n: int) -> tuple[bool, ...]:
     return tuple(rng.random() < 0.5 for _ in range(n))
+
+
+def random_builder_label(rng: random.Random, n: int) -> Label:
+    """One builder result of width n, as built: a shift row, a boolean row
+    (sometimes all constant), an unbounded chain row, a bounded grid, or a
+    raw collapsed bounded row."""
+    known = random_bits(rng, n)
+    op = rng.choice(("U", "R", "S", "T"))
+    pick = rng.randrange(5)
+    if pick == 0:
+        return build_shift(n, rng.choice(("X", "wX", "Y", "wY")))
+    if pick == 1:
+        boolean = rng.choice("&|")
+        if rng.random() < 0.3:
+            known = (boolean == "|",) * n  # every output decided
+        return build_boolean(n, boolean, known)
+    if pick == 2:
+        return build_unbounded(n, op, rng.choice(("left", "right")), known)
+    if pick == 3:
+        return build_bounded(n, op, rng.randrange(0, 4), "left", known)
+    return build_bounded(n, op, rng.randrange(0, n + 2), "right", known)
+
+
+def random_label(rng: random.Random, n: int, depth: int = 3) -> Label:
+    """An evaluated label: up to `depth` builder results stacked with
+    compose_evaluated, starting from the identity."""
+    label = identity(n)
+    for _ in range(rng.randrange(0, depth + 1)):
+        label = compose_evaluated(label, random_builder_label(rng, n))
+    return label
+
+
+def shuffle_plans(monkeypatch, seed: int) -> list[int]:
+    """Make every contraction pass apply its plans in a seeded shuffled
+    order. Returns a list that collects the size of each shuffled pass."""
+    real = contraction._assert_disjoint
+    rng = random.Random(seed)
+    sizes: list[int] = []
+
+    def shuffled(plans):
+        rng.shuffle(plans)
+        sizes.append(len(plans))
+        real(plans)
+
+    monkeypatch.setattr(contraction, "_assert_disjoint", shuffled)
+    return sizes

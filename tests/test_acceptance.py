@@ -2,7 +2,7 @@
 
 One test per release criterion, each printing a single [C#] PASS/FAIL line
 (run with `pytest -s tests/test_acceptance.py` to watch them). The campaign
-criteria reuse one shared 10,000-case run per worker count, so this module
+criteria share one 10,000-case run, and C8 adds a second, so this module
 takes on the order of a minute.
 """
 
@@ -17,9 +17,9 @@ from pathcheck.circuit import (
     G_ID,
     G_OR,
     G_TRUE,
+    Transducer,
     apply,
     compose,
-    compose_evaluated,
     constants_are_sinks,
     evaluate,
     to_dot,
@@ -47,25 +47,25 @@ from pathcheck.formula import (
     prune_bounds,
     to_pnf,
 )
+from pathcheck.rows import compose_evaluated
 from pathcheck.semantics import eval_seq
 from pathcheck.trace import make_trace
 
-from helpers import random_evaluated_transducer, truth_table
+from helpers import random_builder_label, random_label, shuffle_plans, truth_table
 
-FULL_CFG = dict(cases=10_000, max_size=20, max_len=50, max_bound=10, seed=0)
+FULL_CFG = CampaignConfig(cases=10_000, max_size=20, max_len=50, max_bound=10, seed=0)
 
 _campaigns = {}
 
 
-def campaign_with_workers(workers):
-    if workers not in _campaigns:
-        cfg = CampaignConfig(workers=workers, **FULL_CFG)
-        _campaigns[workers] = run_campaign(cfg, processes=4)
-    return _campaigns[workers]
+def full_campaign():
+    if not _campaigns:
+        _campaigns["plain"] = run_campaign(FULL_CFG, processes=4)
+    return _campaigns["plain"]
 
 
 def test_c1_differential_soundness():
-    result = campaign_with_workers(1)
+    result = full_campaign()
     try:
         assert result.failure_count == 0, (
             f"{result.failure_count} of {result.total} cases disagree; "
@@ -174,21 +174,21 @@ def test_c5_evaluated_composition():
     rng = random.Random(1)
     try:
         for _ in range(1000):
-            k = rng.randrange(0, 11)
-            mid = rng.randrange(1, 7)
-            out = rng.randrange(1, 5)
-            a = random_evaluated_transducer(rng, k, mid, extra_gates=8)
-            b = random_evaluated_transducer(rng, mid, out, extra_gates=8)
+            n = rng.randrange(1, 9)
+            a = random_label(rng, n)
+            # the second side is a stack of builder rows or one builder
+            # result as built (a raw collapsed row, an all-constant row)
+            b = random_label(rng, n) if rng.random() < 0.5 else random_builder_label(rng, n)
             fused = compose_evaluated(a, b)
             plain = compose(a, b)
-            cooked = type(plain)(evaluate(plain.circuit), plain.inputs, plain.outputs)
+            cooked = Transducer(evaluate(plain.circuit), plain.inputs, plain.outputs)
             assert truth_table(fused) == truth_table(cooked)
             assert constants_are_sinks(fused.circuit)
     except AssertionError:
         print("[C5] FAIL evaluated composition")
         raise
-    print("[C5] PASS compose_evaluated matches evaluate(compose(..)) on 1000 "
-          "random pairs, constants stay sinks")
+    print("[C5] PASS row compose_evaluated matches evaluate(compose(..)) of the "
+          "gate views on 1000 random pairs of row labels, constants stay sinks")
 
 
 def _ast_nodes(f):
@@ -209,8 +209,8 @@ def test_c6_bound_pruning():
             g = to_pnf(f)
             pruned = prune_bounds(g, n)
             record = ContractionRecord()
-            with_prune = run_contraction(init_tree(pruned, tr), workers=1, record=record)
-            without = run_contraction(init_tree(g, tr), workers=1)
+            with_prune = run_contraction(init_tree(pruned, tr), record=record)
+            without = run_contraction(init_tree(g, tr))
             assert with_prune == without
             limit = (n + 1) * n * _ast_nodes(pruned)
             assert record.final_gates <= limit, (
@@ -240,7 +240,7 @@ def test_c7_stage_schedule():
         for leaves in (1, 2, 3, 5, 6, 17, 64, 100, 513, 1024, 2500, 4096):
             f = _random_tree(rng, leaves)
             record = ContractionRecord()
-            run_contraction(init_tree(f, tr), workers=1, record=record)
+            run_contraction(init_tree(f, tr), record=record)
             assert record.initial_leaves == leaves
             budget = math.ceil(math.log2(leaves)) if leaves > 1 else 0
             assert record.stages <= budget, (
@@ -251,7 +251,7 @@ def test_c7_stage_schedule():
         )
         five = init_tree(parse("(a U (b U c)) U (d U e)"), five_tr)
         record = ContractionRecord()
-        run_contraction(five, workers=1, record=record)
+        run_contraction(five, record=record)
         assert record.stages == 3
         assert record.leaf_counts == [5, 3, 2, 1]
     except AssertionError:
@@ -261,18 +261,21 @@ def test_c7_stage_schedule():
           "leaves; the 5-leaf tree contracts 5>3>2>1 in 3 stages")
 
 
-def test_c8_parallel_determinism():
-    results = {w: campaign_with_workers(w) for w in (1, 2, 8)}
+def test_c8_parallel_determinism(monkeypatch):
+    # the plans of one pass are independent: applying them in any order
+    # (here a seeded shuffle in every pass) must not change a single byte
+    plain = full_campaign()
+    shuffle_plans(monkeypatch, seed=8)
+    shuffled = run_campaign(FULL_CFG, processes=4)
     try:
-        for w, result in results.items():
-            assert result.failure_count == 0, f"workers={w}"
-        assert results[1].payload == results[2].payload == results[8].payload
-        assert results[1].digest == results[2].digest == results[8].digest
+        assert shuffled.failure_count == 0
+        assert shuffled.payload == plain.payload
+        assert shuffled.digest == plain.digest
     except AssertionError:
         print("[C8] FAIL parallel determinism")
         raise
-    print(f"[C8] PASS 10000-case payloads are byte-identical for workers 1/2/8 "
-          f"(digest {results[1].digest[:16]}...)")
+    print(f"[C8] PASS 10000-case payloads are byte-identical when every pass "
+          f"applies its plans in shuffled order (digest {plain.digest[:16]}...)")
 
 
 def test_c9_tree_invariants():

@@ -93,20 +93,6 @@ class TestRunCampaign:
         assert one.payload == many.payload
         assert one.digest == many.digest
 
-    def test_workers_do_not_change_payload(self):
-        one = run_campaign(SMALL)
-        threaded = run_campaign(
-            CampaignConfig(
-                cases=SMALL.cases,
-                max_size=SMALL.max_size,
-                max_len=SMALL.max_len,
-                max_bound=SMALL.max_bound,
-                seed=SMALL.seed,
-                workers=3,
-            )
-        )
-        assert one.payload == threaded.payload
-
     def test_rejects_bad_processes(self):
         with pytest.raises(PathcheckError, match="processes"):
             run_campaign(SMALL, processes=0)
@@ -115,8 +101,8 @@ class TestRunCampaign:
         # force the engine to lie about one specific case
         real_check = campaign.check
 
-        def lying_check(f, tr, engine="circuit", workers=None, record=None):
-            res = real_check(f, tr, engine=engine, workers=workers, record=record)
+        def lying_check(f, tr, engine="circuit", record=None):
+            res = real_check(f, tr, engine=engine, record=record)
             flipped = (not res.sequence[0],) + res.sequence[1:]
             return type(res)(flipped[0], flipped)
 
@@ -170,7 +156,7 @@ class TestMinimize:
 
     def test_shrinks_to_culprit(self, monkeypatch):
         # pretend the engine is broken exactly on Until nodes
-        def fake_disagrees(f, tr, workers):
+        def fake_disagrees(f, tr):
             return isinstance(f, Until)
 
         monkeypatch.setattr(campaign, "_disagrees", fake_disagrees)
@@ -200,8 +186,8 @@ class TestMinimize:
         f = parse("(a U b) | (a U b)")
         states = [{"a"}, {"a"}, {"b"}, set()] * 3
         tr = make_trace(states, list(ALPHABET))
-        assert campaign._disagrees(f, tr, workers=1)
+        assert campaign._disagrees(f, tr)
         small_f, small_tr = minimize(f, tr)
-        assert campaign._disagrees(small_f, small_tr, workers=1)
+        assert campaign._disagrees(small_f, small_tr)
         assert size(small_f) <= size(f)
         assert len(small_tr) <= len(tr)

@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-from pathcheck.builder import build_bounded
 from pathcheck.circuit import (
     G_AND,
     G_FALSE,
@@ -12,10 +11,8 @@ from pathcheck.circuit import (
     G_VAR,
     Circuit,
     Transducer,
-    _splice,
     apply,
     compose,
-    compose_evaluated,
     constant_circuit,
     constants_are_sinks,
     evaluate,
@@ -271,103 +268,6 @@ class TestCompose:
             for _ in range(8):
                 bits = random_bits(rng, k)
                 assert apply(g, bits) == apply(b, apply(a, bits))
-
-
-def _reachable_or_input(t):
-    c = t.circuit
-    seen = set(t.inputs)
-    stack = list(t.outputs)
-    while stack:
-        g = stack.pop()
-        if g not in seen:
-            seen.add(g)
-            stack.extend(c.dependencies(g))
-    return seen
-
-
-class TestComposeEvaluated:
-    def test_matches_evaluate_of_compose(self):
-        rng = random.Random(13)
-        pairs = []
-        for _ in range(50):
-            k = rng.randrange(0, 5)
-            mid = rng.randrange(1, 5)
-            out = rng.randrange(1, 4)
-            a = random_evaluated_transducer(rng, k, mid)
-            b = random_evaluated_transducer(rng, mid, out)
-            pairs.append((a, b))
-            # one side the identity, the other evaluated
-            pairs.append((identity(k), a))
-            pairs.append((b, identity(out)))
-        # the other side a raw collapsed row: the C2 golden row, which reads
-        # constants, and random ones
-        rows = [build_bounded(8, "U", 3, "right", (0, 1, 0, 0, 0, 0, 0, 1))]
-        for _ in range(20):
-            n = rng.randrange(1, 7)
-            op = rng.choice(("U", "R", "S", "T"))
-            rows.append(build_bounded(n, op, rng.randrange(0, 4), "right", random_bits(rng, n)))
-        for raw in rows:
-            n = raw.arity_in
-            pairs.append((identity(n), raw))
-            pairs.append((raw, identity(n)))
-        for a, b in pairs:
-            fused = compose_evaluated(a, b)
-            plain = compose(a, b)
-            assert truth_table(fused) == truth_table(plain)
-            assert constants_are_sinks(fused.circuit)
-            validate(fused)
-            assert (fused.arity_in, fused.arity_out) == (a.arity_in, b.arity_out)
-            assert _reachable_or_input(fused) == set(range(len(fused.circuit)))
-
-    def test_constant_first_stage(self):
-        # every output of the first stage is a constant
-        first = constant_circuit([True, False])
-        c = Circuit()
-        p = c.add_var()
-        q = c.add_var()
-        second = Transducer(c, (p, q), (c.add_or(p, q),))
-        fused = compose_evaluated(first, second)
-        assert apply(fused, ()) == (True,)
-        assert constants_are_sinks(fused.circuit)
-
-    def test_arity_mismatch(self):
-        with pytest.raises(CircuitError, match="arity"):
-            compose_evaluated(identity(1), identity(2))
-
-
-def _no_constant_outputs(rng, k, mid):
-    """A random evaluated transducer none of whose outputs is a constant."""
-    while True:
-        t = random_evaluated_transducer(rng, k, mid)
-        if not any(t.circuit.is_const(o) for o in t.outputs):
-            return t
-
-
-class TestSplice:
-    def test_matches_evaluate_of_compose(self):
-        rng = random.Random(16)
-        pairs = []
-        for _ in range(150):
-            k = rng.randrange(1, 6)
-            mid = rng.randrange(0, 5)
-            out = rng.randrange(0, 4)
-            a = _no_constant_outputs(rng, k, mid)
-            b = random_evaluated_transducer(rng, mid, out)
-            pairs.append((a, b))
-            # identity-shaped sides
-            pairs.append((identity(mid), b))
-            pairs.append((a, identity(mid)))
-            # input arity 0: nothing to feed, the second side all constants
-            pairs.append((random_evaluated_transducer(rng, 0, 0),
-                          random_evaluated_transducer(rng, 0, out)))
-        for a, b in pairs:
-            spliced = _splice(a, b)
-            plain = compose(a, b)
-            cooked = evaluate(plain.circuit)
-            assert spliced.circuit.kind == cooked.kind
-            assert spliced.circuit.arg0 == cooked.arg0
-            assert spliced.circuit.arg1 == cooked.arg1
-            assert (spliced.inputs, spliced.outputs) == (plain.inputs, plain.outputs)
 
 
 class TestApply:

@@ -262,32 +262,6 @@ class TestSelftest:
         assert "trace (csv):" in out
 
 
-class TestBench:
-    def test_tiny_grid(self, capsys):
-        rc = main(["bench", "--sizes", "4,6", "--lens", "5,9",
-                   "--repeat", "1", "--workers", "2"])
-        captured = capsys.readouterr()
-        assert rc == 0
-        lines = captured.out.splitlines()
-        assert lines[0] == "formula_size,trace_len,engine,workers,stages,wall_ms"
-        body = lines[1:]
-        # 4 cells x 3 runs (circuit w1, circuit w2, naive)
-        assert len(body) == 12
-        for row in body:
-            cells = row.split(",")
-            assert len(cells) == 6
-            assert cells[2] in ("circuit", "naive")
-            float(cells[5])
-        assert "# 12 rows" in captured.err
-
-    def test_single_worker_grid(self, capsys):
-        rc = main(["bench", "--sizes", "4", "--lens", "5", "--repeat", "1",
-                   "--workers", "1"])
-        lines = capsys.readouterr().out.splitlines()
-        assert rc == 0
-        assert len(lines) == 3  # header + circuit + naive
-
-
 class TestTopLevel:
     def test_no_subcommand_prints_help(self, capsys):
         rc = main([])

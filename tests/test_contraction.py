@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
-import pathcheck.circuit as circuit
+from pathcheck import builder, contraction, rows
 from pathcheck.circuit import G_VAR, apply, constants_are_sinks, is_identity
 from pathcheck.contraction import (
     ROOT,
@@ -25,7 +25,7 @@ from pathcheck.formula import parse, prune_bounds, to_pnf
 from pathcheck.semantics import eval_seq
 from pathcheck.trace import Trace, make_trace
 
-from helpers import truth_table
+from helpers import shuffle_plans, truth_table
 from test_builder import random_trace
 from test_formula import formulas
 from test_semantics import bits_trace, traces
@@ -116,8 +116,8 @@ class TestInitTree:
         tr = bits_trace(a="01")
         t = init_tree(parse("(! a) U a"), tr)
         leaves = t.leaves_in_order()
-        assert t.literal_bits[leaves[0]] == (True, False)
-        assert t.literal_bits[leaves[1]] == (False, True)
+        assert t.literal_bits[leaves[0]].tolist() == [True, False]
+        assert t.literal_bits[leaves[1]].tolist() == [False, True]
 
     def test_rejects_non_pnf(self):
         tr = bits_trace(a="01", b="10")
@@ -213,7 +213,7 @@ class TestRunContraction:
         tr = small_trace(3)
         t = init_tree(parse("(a U (b U c)) U (d U e)"), tr)
         record = ContractionRecord()
-        seq = run_contraction(t, workers=1, record=record)
+        seq = run_contraction(t, record=record)
         assert seq == eval_seq(tr, parse("(a U (b U c)) U (d U e)"))
         assert record.initial_leaves == 5
         assert record.stages == 3
@@ -227,7 +227,7 @@ class TestRunContraction:
     def test_left_nested_counts(self):
         tr = small_trace(3)
         record = ContractionRecord()
-        run_contraction(init_tree(parse(NESTED_UNTIL), tr), workers=1, record=record)
+        run_contraction(init_tree(parse(NESTED_UNTIL), tr), record=record)
         assert record.stages == 3
         assert record.leaf_counts == [5, 3, 2, 1]
 
@@ -235,7 +235,7 @@ class TestRunContraction:
         tr = bits_trace(a="011")
         t = init_tree(parse("X a"), tr)
         record = ContractionRecord()
-        seq = run_contraction(t, workers=1, record=record)
+        seq = run_contraction(t, record=record)
         assert seq == (True, True, False)
         assert record.stages == 0
         assert record.leaf_counts == [1]
@@ -248,23 +248,34 @@ class TestRunContraction:
             f = random_formula(rng, rng.randrange(1, 16), max_bound=6)
             tr = random_trace(rng, rng.randrange(1, 12), names=("a", "b", "c", "d"))
             g = prune_bounds(to_pnf(f), len(tr))
-            got = run_contraction(init_tree(g, tr), workers=1)
+            got = run_contraction(init_tree(g, tr))
             assert got == eval_seq(tr, f)
 
-    def test_workers_do_not_change_anything(self):
-        rng = random.Random(5)
-        for _ in range(10):
-            from pathcheck.campaign import random_formula
+    def test_plan_order_does_not_change_anything(self, monkeypatch):
+        # the plans of one pass are disjoint, so any application order
+        # gives the same sequences and the same schedule
+        from pathcheck.campaign import random_formula
 
+        rng = random.Random(5)
+        cases = []
+        for _ in range(10):
             f = random_formula(rng, 14, max_bound=5)
             tr = random_trace(rng, 9, names=("a", "b", "c", "d"))
-            g = prune_bounds(to_pnf(f), len(tr))
+            cases.append((prune_bounds(to_pnf(f), len(tr)), tr))
+
+        def run_all():
             results = []
-            for w in (1, 2, 8):
+            for g, tr in cases:
                 record = ContractionRecord()
-                seq = run_contraction(init_tree(g, tr), workers=w, record=record)
+                seq = run_contraction(init_tree(g, tr), record=record)
                 results.append((seq, record.leaf_counts, record.selections))
-            assert results[0] == results[1] == results[2]
+            return results
+
+        plain = run_all()
+        for seed in range(3):
+            sizes = shuffle_plans(monkeypatch, seed)
+            assert run_all() == plain
+            assert max(sizes) > 1
 
     def test_stage_budget(self):
         rng = random.Random(6)
@@ -279,7 +290,7 @@ class TestRunContraction:
             t = init_tree(g, tr)
             leaves = len(t.leaf_numbers)
             record = ContractionRecord()
-            run_contraction(t, workers=1, record=record)
+            run_contraction(t, record=record)
             if leaves > 1:
                 assert record.stages <= math.ceil(math.log2(leaves))
             else:
@@ -289,20 +300,14 @@ class TestRunContraction:
         tr = small_trace(3)
         t = init_tree(parse(NESTED_UNTIL), tr)
         seen = []
-        run_contraction(t, workers=1, on_stage=lambda tree, s: seen.append(s))
+        run_contraction(t, on_stage=lambda tree, s: seen.append(s))
         assert seen == [0, 1, 2, 3]
-
-    def test_rejects_bad_workers(self):
-        tr = bits_trace(a="01", b="10")
-        t = init_tree(parse("a U b"), tr)
-        with pytest.raises(ContractionError, match="workers"):
-            run_contraction(t, workers=0)
 
     def test_input_tree_unchanged(self):
         tr = bits_trace(a="01", b="10")
         t = init_tree(parse("a U b"), tr)
         nodes = set(t.node_formula)
-        run_contraction(t, workers=1)
+        run_contraction(t)
         assert set(t.node_formula) == nodes
 
 
@@ -327,14 +332,14 @@ class TestRawRowUnderShift:
             verify_tree(t)
             stages.append(stage)
 
-        got = run_contraction(tree, workers=1, on_stage=verify)
+        got = run_contraction(tree, on_stage=verify)
         assert stages == [0, 1]
         assert got == check(parse(text), tr, engine="naive").sequence
 
 
 # the few-literal formula families of the long-trace benchmark workload,
 # with their proposition densities
-GATE_BUDGET_FAMILIES = [
+FOLD_BUDGET_FAMILIES = [
     ("G ((!(req) | F[16] (ack)))", {"req": 0.05, "ack": 0.1}),
     ("(a U (b U c))", {"a": 0.9, "b": 0.9, "c": 0.05}),
     ("(H ((c | Y (d))) & (a S[3] e))", {"a": 0.8, "c": 0.7, "d": 0.5, "e": 0.1}),
@@ -342,25 +347,29 @@ GATE_BUDGET_FAMILIES = [
 ]
 
 
-@pytest.mark.parametrize("text,densities", GATE_BUDGET_FAMILIES)
+@pytest.mark.parametrize("text,densities", FOLD_BUDGET_FAMILIES)
 def test_evaluate_gate_budget(monkeypatch, text, densities):
-    # gates passed into evaluate over one check: edge labels are spliced,
-    # not re-evaluated, so this stays a small multiple of n
+    # gates evaluated over one check, that is, row cells rewritten by
+    # folding: constants are folded only where two stacks meet and only as
+    # far up as they reach, so this stays a small multiple of n
     n = 2048
     rng = random.Random(text)
     names = sorted(densities)
     states = [{p for p in names if rng.random() < densities[p]} for _ in range(n)]
     tr = make_trace(states, names)
-    real = circuit.evaluate
-    seen = []
+    real = rows.fold
+    folded = []
 
-    def counting(c):
-        seen.append(len(c))
-        return real(c)
+    def counting(row, below=None):
+        out = real(row, below)
+        if out is not row:
+            folded.append(len(row.kind))
+        return out
 
-    monkeypatch.setattr(circuit, "evaluate", counting)
-    result = check(parse(text), tr, workers=1)
-    assert sum(seen) <= 6 * n
+    monkeypatch.setattr(rows, "fold", counting)
+    monkeypatch.setattr(builder, "fold", counting)
+    result = check(parse(text), tr)
+    assert sum(folded) <= 6 * n
     assert result.sequence == check(parse(text), tr, engine="naive").sequence
 
 
@@ -384,6 +393,20 @@ class TestCheck:
             f = random_formula(rng, rng.randrange(1, 14), max_bound=5)
             tr = random_trace(rng, rng.randrange(1, 10), names=("a", "b", "c", "d"))
             assert check(f, tr, engine="circuit") == check(f, tr, engine="naive")
+
+    def test_atom_sequence_once_per_literal(self, monkeypatch):
+        tr = bits_trace(a="0110", b="1011")
+        real = contraction.atom_sequence
+        calls = []
+
+        def counting(trace, name, negated=False):
+            calls.append((name, negated))
+            return real(trace, name, negated)
+
+        monkeypatch.setattr(contraction, "atom_sequence", counting)
+        f = parse("((a U !b) & ((X a) | (b S !b))) & (a R a)")
+        assert check(f, tr) == check(f, tr, engine="naive")
+        assert sorted(calls) == [("a", False), ("b", False), ("b", True)]
 
     def test_unknown_engine(self):
         tr = bits_trace(a="1")
