@@ -17,6 +17,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
+import numpy as np
+
 from .contraction import check
 from .errors import PathcheckError
 from .formula import (
@@ -122,10 +124,8 @@ def random_formula(rng: random.Random, budget: int, max_bound: int, alphabet=ALP
 
 def random_trace(rng: random.Random, max_len: int, alphabet=ALPHABET) -> Trace:
     n = rng.randint(1, max_len)
-    states = tuple(
-        frozenset(p for p in alphabet if rng.random() < 0.5) for _ in range(n)
-    )
-    return Trace(states, tuple(alphabet))
+    bits = [[rng.random() < 0.5 for _ in alphabet] for _ in range(n)]
+    return Trace(np.array(bits, dtype=bool).T, tuple(alphabet))
 
 
 def run_case(cfg: CampaignConfig, index: int) -> tuple[bytes, Optional[CaseFailure]]:
@@ -221,8 +221,8 @@ def minimize(f: Formula, tr: Trace) -> tuple[Formula, Trace]:
         n = len(tr)
         if n > 1:
             half = (n + 1) // 2
-            for states in (tr.states[:half], tr.states[half:]):
-                cand = Trace(states, tr.alphabet)
+            for columns in (tr.columns[:, :half], tr.columns[:, half:]):
+                cand = Trace(columns, tr.alphabet)
                 if _disagrees(f, cand):
                     tr = cand
                     improved = True

@@ -103,14 +103,24 @@ def _read_formula(args) -> str:
     if args.formula is not None:
         return args.formula
     if args.formula_file is not None:
-        return FsPath(args.formula_file).read_text()
+        return _read_text(args.formula_file)
     raise PathcheckError("a formula is required (--formula or --formula-file)")
 
 
 def _read_trace(args):
     if args.trace is None:
         raise PathcheckError("a trace file is required (--trace)")
-    return load_trace(FsPath(args.trace).read_text(), args.format)
+    return load_trace(_read_text(args.trace), args.format)
+
+
+def _read_text(path: str) -> str:
+    """A file decoded as UTF-8, with universal newlines."""
+    raw = FsPath(path).read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise PathcheckError(f"{path}: not valid UTF-8 at byte offset {exc.start}") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def cmd_check(args) -> int:

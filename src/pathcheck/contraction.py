@@ -184,7 +184,7 @@ def init_tree(f: Formula, trace: Trace) -> ContractionTree:
         if is_literal(occ.formula):
             key = literal_parts(occ.formula)
             if key not in columns:
-                columns[key] = np.array(atom_sequence(trace, *key), dtype=bool)
+                columns[key] = atom_sequence(trace, *key)
             tree.literal_bits[node] = columns[key]
         else:
             tree.children[node] = [-2, -2]

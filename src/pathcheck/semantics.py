@@ -121,7 +121,7 @@ def _seq(trace: Trace, f: Formula) -> np.ndarray:
             raise UnknownProposition(
                 f"proposition {f.name!r} is not in the trace alphabet"
             )
-        return np.fromiter((f.name in st for st in trace.states), dtype=bool, count=n)
+        return trace.columns[trace.alphabet.index(f.name)]
     if isinstance(f, Not):
         return ~_seq(trace, f.child)
     if isinstance(f, And):

@@ -1,6 +1,11 @@
+import contextlib
+import io
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathcheck.cli import main
 
@@ -114,6 +119,33 @@ class TestCheck:
         assert rc == 2
         assert "zz" in capsys.readouterr().err
 
+    def test_non_utf8_trace_exit_2(self, tmp_path, capsys):
+        tf = tmp_path / "bad.csv"
+        tf.write_bytes(b"a,b\n1,0\n\xff,1\n")
+        rc = main(["check", "--formula", "a U b", "--trace", str(tf)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"error: {tf}: not valid UTF-8 at byte offset 8" in err
+        assert "Traceback" not in err
+
+    def test_non_utf8_formula_file_exit_2(self, tmp_path, sat_trace, capsys):
+        ff = tmp_path / "bad.ltl"
+        ff.write_bytes(b"a U \xc3(")
+        rc = main(["check", "--formula-file", str(ff), "--trace", sat_trace])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"error: {ff}: not valid UTF-8 at byte offset 4" in err
+
+    def test_crlf_files(self, tmp_path, capsys):
+        tf = tmp_path / "t.csv"
+        tf.write_bytes(b"a,b\r\n1,0\r\n0,1\r\n")
+        ff = tmp_path / "f.ltl"
+        ff.write_bytes(b"a\r\nU b\r\n")
+        rc = main(["check", "--formula-file", str(ff), "--trace", str(tf),
+                   "--emit-sequence"])
+        assert rc == 0
+        assert "sequence=1,1" in capsys.readouterr().out
+
 
 class TestDot:
     def test_builder_collapsed_row(self, capsys):
@@ -204,10 +236,46 @@ class TestDot:
         assert rc == 0
         assert target.read_bytes() == (GOLDEN / "builder_U3_left.dot").read_bytes()
 
+    def test_full_run_non_utf8_exit_2(self, tmp_path, sat_trace, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"a\n\xfe\n")
+        outdir = str(tmp_path / "stages")
+        for argv in (["--formula", "a", "--trace", str(bad)],
+                     ["--formula-file", str(bad), "--trace", sat_trace]):
+            rc = main(["dot", "--emit-dot", outdir] + argv)
+            assert rc == 2
+            assert f"error: {bad}: not valid UTF-8 at byte offset 2" in capsys.readouterr().err
+
     def test_full_run_needs_directory(self, sat_trace, capsys):
         rc = main(["dot", "--formula", "a", "--trace", sat_trace])
         assert rc == 2
         assert "emit-dot" in capsys.readouterr().err
+
+
+# Near-misses of both formats reach the loaders' deeper checks; raw bytes
+# reach the decoding.
+_TRACE_BYTES = st.one_of(
+    st.binary(max_size=64),
+    st.text(alphabet='ab01, \t\r\n"[]{}:', max_size=48).map(str.encode),
+    st.binary(max_size=24).map(lambda tail: b"a,b\n1,0\n" + tail),
+)
+
+
+class TestLoaderFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(data=_TRACE_BYTES, fmt=st.sampled_from(["csv", "jsonl"]),
+           engine=st.sampled_from(["circuit", "naive"]))
+    def test_arbitrary_trace_bytes(self, data, fmt, engine):
+        with tempfile.TemporaryDirectory() as tmp:
+            tf = Path(tmp) / f"t.{fmt}"
+            tf.write_bytes(data)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = main(["check", "--formula", "(a U b) | Y a", "--trace", str(tf),
+                           "--format", fmt, "--engine", engine])
+        assert rc in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        assert (rc == 2) == err.getvalue().startswith("error: ")
 
 
 class TestSelftest:

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -420,7 +421,7 @@ class TestCheck:
                 check(parse("z"), tr, engine=engine)
 
     def test_empty_trace(self):
-        empty = Trace((), ("a",))
+        empty = Trace(np.zeros((1, 0), dtype=bool), ("a",))
         with pytest.raises(TraceError, match="empty"):
             check(parse("a"), empty)
 
