@@ -2,9 +2,10 @@
 
 Cases are generated from per-case integer seeds derived only from the
 campaign seed and the case index, so a campaign's verdict payload is
-identical no matter how cases are distributed over processes. The payload encodes every case's verdict sequence
-(one byte per position, 0xff between cases, 0xfe for an engine error) and is
-hashed for quick comparison.
+identical no matter how cases are distributed over processes. The payload
+encodes every case's verdict sequence (one byte per position, 0xff between
+cases, 0xfe for an engine error) and is hashed for quick comparison. Each
+case is timed, and a campaign reports its throughput and slowest cases.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from .semantics import eval_seq
 from .trace import Trace, to_csv
 
 ALPHABET = ("a", "b", "c", "d")
+SLOWEST = 5  # slowest cases a campaign reports
 
 _BOUNDED = (BoundedUntil, BoundedRelease, BoundedSince, BoundedTrigger)
 _PLAIN_BINARY = (And, Or, Until, Release, Since, Trigger)
@@ -78,10 +80,15 @@ class CampaignResult:
     payload: bytes = b""
     digest: str = ""
     elapsed: float = 0.0
+    slowest: list[tuple[float, int]] = field(default_factory=list)  # (seconds, index)
 
     @property
     def ok(self) -> bool:
         return self.failure_count == 0
+
+    @property
+    def cases_per_s(self) -> float:
+        return self.total / self.elapsed if self.elapsed > 0 else 0.0
 
 
 def case_seed(seed: int, index: int) -> int:
@@ -140,22 +147,28 @@ def run_case(cfg: CampaignConfig, index: int) -> tuple[bytes, Optional[CaseFailu
             index, format_formula(f), to_csv(tr), expected, f"{type(exc).__name__}: {exc}"
         )
         return b"\xfe\xff", failure
-    payload = bytes(1 if b else 0 for b in got) + b"\xff"
+    payload = got.tobytes() + b"\xff"
+    got = tuple(got.tolist())
     if got != expected:
         return payload, CaseFailure(index, format_formula(f), to_csv(tr), expected, got)
     return payload, None
 
 
-def _run_range(args) -> tuple[bytes, list[CaseFailure]]:
+def _run_range(args) -> tuple[bytes, list[CaseFailure], list[tuple[float, int]]]:
+    """Payload and failures of cases [start, stop), and the (seconds, index)
+    of its slowest cases, slowest first."""
     cfg, start, stop = args
     chunks = []
     failures = []
+    times = []
     for i in range(start, stop):
+        t0 = time.perf_counter()
         payload, failure = run_case(cfg, i)
+        times.append((time.perf_counter() - t0, i))
         chunks.append(payload)
         if failure is not None:
             failures.append(failure)
-    return b"".join(chunks), failures
+    return b"".join(chunks), failures, sorted(times, reverse=True)[:SLOWEST]
 
 
 def run_campaign(
@@ -173,17 +186,17 @@ def run_campaign(
             parts = pool.map(_run_range, jobs)
     else:
         parts = [_run_range(job) for job in jobs]
-    payload = b"".join(p for p, _ in parts)
-    failures = [f for _, fs in parts for f in fs]
-    result = CampaignResult(
+    payload = b"".join(p for p, _, _ in parts)
+    failures = [f for _, fs, _ in parts for f in fs]
+    return CampaignResult(
         total=cfg.cases,
         failures=failures[:keep_failures],
         failure_count=len(failures),
         payload=payload,
         digest=hashlib.sha256(payload).hexdigest(),
         elapsed=time.perf_counter() - t0,
+        slowest=sorted((t for _, _, ts in parts for t in ts), reverse=True)[:SLOWEST],
     )
-    return result
 
 
 def _spans(cases: int, processes: int) -> list[tuple[int, int]]:
@@ -196,7 +209,7 @@ def _spans(cases: int, processes: int) -> list[tuple[int, int]]:
 def _disagrees(f: Formula, tr: Trace) -> bool:
     expected = eval_seq(tr, f)
     try:
-        return check(f, tr, engine="circuit").sequence != expected
+        return tuple(check(f, tr, engine="circuit").sequence.tolist()) != expected
     except Exception:
         return True
 

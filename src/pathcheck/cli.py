@@ -17,6 +17,8 @@ import sys
 import time
 from pathlib import Path as FsPath
 
+import numpy as np
+
 from . import builder as builder_mod
 from .campaign import CampaignConfig, minimize, run_campaign
 from .circuit import dot_lines, to_dot
@@ -27,8 +29,19 @@ from .rows import Label
 from .trace import load_trace, to_csv
 
 
+_PARSER: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
+    """Run one subcommand and return its exit code.
+
+    The argparse parser is built on the first call and reused by every later
+    call in the same process, so repeated in-process calls pay only for
+    parsing their arguments."""
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = _build_parser()
+    parser = _PARSER
     args = parser.parse_args(argv)
     if getattr(args, "func", None) is None:
         parser.print_help()
@@ -136,8 +149,16 @@ def cmd_check(args) -> int:
     else:
         print(f"engine={args.engine} wall_ms={wall_ms:.2f}")
     if args.emit_sequence:
-        print("sequence=" + ",".join("1" if b else "0" for b in result.sequence))
+        print("sequence=" + _bits_text(result.sequence))
     return 0 if result.satisfied else 1
+
+
+def _bits_text(seq: np.ndarray) -> str:
+    """The bits as comma-separated 0/1 digits: one uint8 buffer with the
+    digits at even offsets and commas between them."""
+    text = np.full(2 * len(seq) - 1, ord(","), dtype=np.uint8)
+    text[0::2] = seq.view(np.uint8) + ord("0")
+    return text.tobytes().decode("ascii")
 
 
 _OP_RE = re.compile(r"^([URST])(?:\[(\d+)\])?$")
@@ -231,6 +252,9 @@ def cmd_selftest(args) -> int:
     )
     result = run_campaign(cfg, processes=args.processes)
     print(f"elapsed: {result.elapsed:.1f}s")
+    print(f"throughput: {result.cases_per_s:.1f} cases/s")
+    slowest = ", ".join(f"#{i} ({sec * 1000:.1f} ms)" for sec, i in result.slowest)
+    print(f"slowest cases: {slowest}")
     print(f"digest: {result.digest}")
     if result.ok:
         print(f"PASS: {result.total} cases agree with the oracle")

@@ -283,8 +283,9 @@ def run_contraction(
     tree: ContractionTree,
     record: Optional[ContractionRecord] = None,
     on_stage: Optional[Callable[[ContractionTree, int], None]] = None,
-) -> tuple[bool, ...]:
-    """Contract to a single leaf and return the whole formula's sequence.
+) -> np.ndarray:
+    """Contract to a single leaf and return the whole formula's sequence, as
+    the read-only bool array the last edge's `apply` produces.
 
     Each stage removes the odd-numbered leaves: first those that are left
     children, then (re-examining the tree) those that are right children.
@@ -336,7 +337,9 @@ def run_contraction(
     if record is not None:
         record.stages = stage
         record.final_gates = (len(t.labels[last].rows) + 1) * t.n
-    return tuple(apply(t.labels[last], t.literal_bits[last]).tolist())
+    seq = apply(t.labels[last], t.literal_bits[last])
+    seq.flags.writeable = False
+    return seq
 
 
 def _assert_disjoint(plans: list[_Plan]) -> None:
@@ -413,10 +416,19 @@ def verify_tree(tree: ContractionTree) -> None:
             raise ContractionError(f"edge to {v} does not compute its subformula")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CheckResult:
+    """`satisfied` is the bit at position 0, as a Python bool; `sequence` is
+    the bit at every position, as a read-only numpy bool array on both
+    engines. Two results are equal when their sequences are."""
+
     satisfied: bool
-    sequence: tuple[bool, ...]
+    sequence: np.ndarray
+
+    def __eq__(self, other):
+        if not isinstance(other, CheckResult):
+            return NotImplemented
+        return np.array_equal(self.sequence, other.sequence)
 
 
 def check(
@@ -435,13 +447,13 @@ def check(
         raise TraceError("cannot check an empty trace")
     require_known(trace, atom_names(f))
     if engine == "naive":
-        from .semantics import eval_seq
+        from .semantics import eval_array
 
-        seq = eval_seq(trace, f)
+        seq = eval_array(trace, f)
     elif engine == "circuit":
         g = prune_bounds(to_pnf(f), len(trace))
         tree = init_tree(g, trace)
         seq = run_contraction(tree, record=record)
     else:
         raise ContractionError(f"unknown engine {engine!r}")
-    return CheckResult(seq[0], seq)
+    return CheckResult(bool(seq[0]), seq)

@@ -10,7 +10,8 @@ circuit pipeline.
 counting "no failure of the left operand inside the between-window" via
 prefix sums; it exists because the literal recursion is exponential in
 formula depth while differential campaigns need tens of thousands of runs.
-The two are property-tested against each other.
+The two are property-tested against each other. `eval_array` hands over
+the same bits as a read-only numpy array.
 """
 
 from __future__ import annotations
@@ -107,7 +108,14 @@ def holds_at(trace: Trace, f: Formula, i: int) -> bool:
 
 def eval_seq(trace: Trace, f: Formula) -> tuple[bool, ...]:
     """The satisfaction bit of f at every position of the trace."""
-    return tuple(bool(b) for b in _seq(trace, f))
+    return tuple(eval_array(trace, f).tolist())
+
+
+def eval_array(trace: Trace, f: Formula) -> np.ndarray:
+    """`eval_seq` as a read-only numpy bool array."""
+    seq = _seq(trace, f)
+    seq.flags.writeable = False
+    return seq
 
 
 def _seq(trace: Trace, f: Formula) -> np.ndarray:

@@ -143,17 +143,23 @@ def _load_plain_csv(data: str) -> Trace | None:
 
 
 def _load_csv_rows(data: str) -> Trace:
+    # each record is numbered by the physical line it starts on: a quoted
+    # cell may span several lines, and the reader's line_num counts them
     reader = csv.reader(io.StringIO(data))
+    rows = []
     try:
-        rows = list(reader)
+        end = 0
+        for row in reader:
+            rows.append((end + 1, row))
+            end = reader.line_num
     except csv.Error as exc:
         raise TraceError(f"line {reader.line_num}: {exc}") from None
     if not rows:
         raise TraceError("empty trace: missing header row")
-    header = [cell.strip() for cell in rows[0]]
+    header = [cell.strip() for cell in rows[0][1]]
     _validate_alphabet(header)
     bits = []
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in rows[1:]:
         if len(row) != len(header):
             raise TraceError(
                 f"line {lineno}: expected {len(header)} cells, got {len(row)}"
@@ -169,7 +175,9 @@ def _load_csv_rows(data: str) -> Trace:
 
 
 def _load_jsonl(data: str) -> Trace:
-    lines = [(i + 1, ln) for i, ln in enumerate(data.splitlines()) if ln.strip()]
+    # lines are numbered by "\n" alone; str.splitlines would also break at
+    # form feeds, U+2028 and other separators that text editors do not count
+    lines = [(i + 1, ln) for i, ln in enumerate(data.split("\n")) if ln.strip()]
     if not lines:
         raise TraceError("empty trace: no lines")
     index: dict[str, int] = {}

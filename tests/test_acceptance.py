@@ -211,7 +211,7 @@ def test_c6_bound_pruning():
             record = ContractionRecord()
             with_prune = run_contraction(init_tree(pruned, tr), record=record)
             without = run_contraction(init_tree(g, tr))
-            assert with_prune == without
+            assert with_prune.tolist() == without.tolist()
             limit = (n + 1) * n * _ast_nodes(pruned)
             assert record.final_gates <= limit, (
                 f"{record.final_gates} gates > {limit}"

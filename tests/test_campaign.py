@@ -93,6 +93,20 @@ class TestRunCampaign:
         assert one.payload == many.payload
         assert one.digest == many.digest
 
+    @pytest.mark.parametrize("processes", [1, 3])
+    def test_slowest_cases(self, processes):
+        result = run_campaign(SMALL, processes=processes)
+        assert len(result.slowest) == 5
+        seconds = [sec for sec, _ in result.slowest]
+        assert seconds == sorted(seconds, reverse=True) and seconds[-1] > 0
+        indices = [i for _, i in result.slowest]
+        assert len(set(indices)) == 5 and all(0 <= i < SMALL.cases for i in indices)
+        assert result.cases_per_s == pytest.approx(SMALL.cases / result.elapsed)
+
+    def test_slowest_cases_fewer_than_five(self):
+        result = run_campaign(CampaignConfig(cases=3, max_size=6, max_len=6, seed=1))
+        assert sorted(i for _, i in result.slowest) == [0, 1, 2]
+
     def test_rejects_bad_processes(self):
         with pytest.raises(PathcheckError, match="processes"):
             run_campaign(SMALL, processes=0)
@@ -103,8 +117,9 @@ class TestRunCampaign:
 
         def lying_check(f, tr, engine="circuit", record=None):
             res = real_check(f, tr, engine=engine, record=record)
-            flipped = (not res.sequence[0],) + res.sequence[1:]
-            return type(res)(flipped[0], flipped)
+            flipped = res.sequence.copy()
+            flipped[0] = not flipped[0]
+            return type(res)(bool(flipped[0]), flipped)
 
         monkeypatch.setattr(campaign, "check", lying_check)
         result = run_campaign(CampaignConfig(cases=5, max_size=6, max_len=6, seed=1))
@@ -112,7 +127,7 @@ class TestRunCampaign:
         assert result.failure_count == 5
         first = result.failures[0]
         assert first.index == 0
-        assert first.expected != first.got
+        assert first.got == (not first.expected[0],) + first.expected[1:]
 
     def test_engine_error_is_a_failure(self, monkeypatch):
         def crashing_check(*args, **kwargs):

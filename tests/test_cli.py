@@ -3,11 +3,16 @@ import io
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pathcheck import cli
 from pathcheck.cli import main
+from pathcheck.contraction import check
+from pathcheck.formula import parse
+from pathcheck.trace import Trace, to_csv
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -62,6 +67,26 @@ class TestCheck:
         out = capsys.readouterr().out
         assert rc == 0
         assert "sequence=1,1,1" in out
+
+    @pytest.mark.parametrize("engine", ["circuit", "naive"])
+    @pytest.mark.parametrize("n", [1, 3, 14336])
+    def test_emit_sequence_text(self, tmp_path, capsys, engine, n):
+        # byte-identical to joining "1"/"0" per position with commas; the
+        # formula has no windowed operator, so the oracle stays linear in n
+        rng = np.random.default_rng(n)
+        tr = Trace(rng.random((2, n)) < 0.5, ("a", "b"))
+        path = tmp_path / "t.csv"
+        path.write_text(to_csv(tr))
+        text = "(a & X b) | Y !a"
+        rc = main(["check", "--formula", text, "--trace", str(path),
+                   "--engine", engine, "--emit-sequence"])
+        out = capsys.readouterr().out
+        seq = check(parse(text), tr, engine=engine).sequence
+        assert rc == (0 if seq[0] else 1)
+        lines = out.split("\n")
+        assert len(lines) == 4 and lines[3] == ""
+        assert lines[2] == "sequence=" + ",".join("1" if b else "0" for b in seq)
+        assert len(lines[2]) == len("sequence=") + 2 * n - 1
 
     def test_formula_file(self, tmp_path, sat_trace, capsys):
         ff = tmp_path / "f.txt"
@@ -288,6 +313,13 @@ class TestSelftest:
         assert "PASS: 40 cases" in out
         assert "digest:" in out
         assert "seed 0" in out
+        lines = out.splitlines()
+        assert lines[0].startswith("selftest: 40 cases")
+        rate = next(ln for ln in lines if ln.startswith("throughput: "))
+        assert float(rate.split()[1]) > 0 and rate.endswith(" cases/s")
+        slow = next(ln for ln in lines if ln.startswith("slowest cases: "))
+        indices = [int(part.split()[0][1:]) for part in slow[len("slowest cases: "):].split(", ")]
+        assert len(set(indices)) == 5 and all(0 <= i < 40 for i in indices)
 
     def test_multiprocess_pass(self, capsys):
         rc = main(["selftest", "--cases", "24", "--max-size", "8",
@@ -328,6 +360,39 @@ class TestSelftest:
         assert "minimized counterexample:" in out
         assert "formula:" in out
         assert "trace (csv):" in out
+
+
+class TestParserReuse:
+    def test_built_once(self, monkeypatch, sat_trace, capsys):
+        real = cli._build_parser
+        calls = []
+
+        def counting():
+            calls.append(1)
+            return real()
+
+        monkeypatch.setattr(cli, "_build_parser", counting)
+        monkeypatch.setattr(cli, "_PARSER", None)
+        assert main(["check", "--formula", "a U b", "--trace", sat_trace]) == 0
+        assert main(["check", "--formula", "a U b", "--trace", sat_trace,
+                     "--engine", "naive", "--emit-sequence"]) == 0
+        assert main(["check", "--formula", "G a", "--trace", sat_trace]) == 1
+        assert main([]) == 2
+        assert len(calls) == 1
+        out = capsys.readouterr().out
+        assert out.count("sequence=") == 1
+
+    @pytest.mark.parametrize("sub", ["check", "selftest"])
+    def test_help_unchanged_on_reuse(self, monkeypatch, capsys, sub):
+        monkeypatch.setattr(cli, "_PARSER", None)
+        texts = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main([sub, "--help"])
+            assert exc.value.code == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1]
+        assert texts[0].startswith(f"usage: pathcheck {sub}")
 
 
 class TestTopLevel:

@@ -215,7 +215,7 @@ class TestRunContraction:
         t = init_tree(parse("(a U (b U c)) U (d U e)"), tr)
         record = ContractionRecord()
         seq = run_contraction(t, record=record)
-        assert seq == eval_seq(tr, parse("(a U (b U c)) U (d U e)"))
+        assert tuple(seq.tolist()) == eval_seq(tr, parse("(a U (b U c)) U (d U e)"))
         assert record.initial_leaves == 5
         assert record.stages == 3
         assert record.leaf_counts == [5, 3, 2, 1]
@@ -237,7 +237,7 @@ class TestRunContraction:
         t = init_tree(parse("X a"), tr)
         record = ContractionRecord()
         seq = run_contraction(t, record=record)
-        assert seq == (True, True, False)
+        assert seq.tolist() == [True, True, False]
         assert record.stages == 0
         assert record.leaf_counts == [1]
 
@@ -250,7 +250,7 @@ class TestRunContraction:
             tr = random_trace(rng, rng.randrange(1, 12), names=("a", "b", "c", "d"))
             g = prune_bounds(to_pnf(f), len(tr))
             got = run_contraction(init_tree(g, tr))
-            assert got == eval_seq(tr, f)
+            assert tuple(got.tolist()) == eval_seq(tr, f)
 
     def test_plan_order_does_not_change_anything(self, monkeypatch):
         # the plans of one pass are disjoint, so any application order
@@ -269,7 +269,7 @@ class TestRunContraction:
             for g, tr in cases:
                 record = ContractionRecord()
                 seq = run_contraction(init_tree(g, tr), record=record)
-                results.append((seq, record.leaf_counts, record.selections))
+                results.append((seq.tolist(), record.leaf_counts, record.selections))
             return results
 
         plain = run_all()
@@ -335,7 +335,7 @@ class TestRawRowUnderShift:
 
         got = run_contraction(tree, on_stage=verify)
         assert stages == [0, 1]
-        assert got == check(parse(text), tr, engine="naive").sequence
+        assert got.tolist() == check(parse(text), tr, engine="naive").sequence.tolist()
 
 
 # the few-literal formula families of the long-trace benchmark workload,
@@ -371,7 +371,7 @@ def test_evaluate_gate_budget(monkeypatch, text, densities):
     monkeypatch.setattr(builder, "fold", counting)
     result = check(parse(text), tr)
     assert sum(folded) <= 6 * n
-    assert result.sequence == check(parse(text), tr, engine="naive").sequence
+    assert result.sequence.tolist() == check(parse(text), tr, engine="naive").sequence.tolist()
 
 
 class TestCheck:
@@ -379,6 +379,24 @@ class TestCheck:
         tr = bits_trace(a="000")
         res = check(parse("true"), tr)
         assert res == CheckResult(True, (True, True, True))
+
+    @pytest.mark.parametrize("engine", ["circuit", "naive"])
+    @pytest.mark.parametrize("text", ["a", "a U b", "X (a S[2] b)"])
+    def test_result_types(self, engine, text):
+        tr = bits_trace(a="0110", b="1011")
+        res = check(parse(text), tr, engine=engine)
+        assert type(res.satisfied) is bool
+        assert isinstance(res.sequence, np.ndarray)
+        assert res.sequence.dtype == bool and res.sequence.shape == (4,)
+        assert not res.sequence.flags.writeable
+        assert res.satisfied == res.sequence[0]
+        assert res.sequence.tolist() == list(eval_seq(tr, parse(text)))
+
+    def test_results_compare_by_sequence(self):
+        tr = bits_trace(a="0110", b="1011")
+        assert check(parse("a"), tr) == check(parse("!!a"), tr, engine="naive")
+        assert check(parse("a"), tr) != check(parse("b"), tr)
+        assert check(parse("a"), tr) != check(parse("a"), bits_trace(a="011"))
 
     def test_immediate_witness(self):
         # e holds at position 0, so the outermost Until fires immediately

@@ -92,6 +92,19 @@ class TestJsonl:
         with pytest.raises(TraceError, match="line 2"):
             load_trace('["p"]\nnot json', format="jsonl")
 
+    @pytest.mark.parametrize("sep", ["\x0c", "\u2028"])
+    def test_lines_are_numbered_by_newlines_only(self, sep):
+        # str.splitlines breaks at these too; a line holding only one of
+        # them is blank, and the next line is still the third
+        with pytest.raises(TraceError, match="^line 3: invalid JSON"):
+            load_trace(f'["p"]\n{sep}\nbad', format="jsonl")
+
+    @pytest.mark.parametrize("sep", ["\x0c", "\u2028"])
+    def test_separator_inside_a_line_is_that_lines_error(self, sep):
+        # neither is JSON whitespace, so the first line is not one JSON value
+        with pytest.raises(TraceError, match="^line 1: invalid JSON"):
+            load_trace(f'["p"]{sep}["q"]\nbad', format="jsonl")
+
     def test_state_must_be_string_array(self):
         with pytest.raises(TraceError, match="array of strings"):
             load_trace("[1,2]", format="jsonl")
@@ -209,6 +222,13 @@ class TestColumns:
         body = "1,0\n0,1\n" * 20
         with pytest.raises(TraceError, match="^line 42: "):
             load_trace("p,q\n" + body + last)
+
+    def test_record_numbered_by_its_first_physical_line(self):
+        # the quoted cell of the second record spans lines 2 and 3
+        with pytest.raises(TraceError, match="^line 4: cell must be 0 or 1"):
+            load_trace('p,q\n"1\n",0\n1,x\n')
+        with pytest.raises(TraceError, match="^line 2: expected 2 cells"):
+            load_trace('p,q\n"1\n"\n1,0\n')
 
     def test_csv_module_error_is_a_trace_error(self):
         with pytest.raises(TraceError, match="line 2: "):
