@@ -133,7 +133,9 @@ def _read_text(path: str) -> str:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise PathcheckError(f"{path}: not valid UTF-8 at byte offset {exc.start}") from None
-    return text.replace("\r\n", "\n").replace("\r", "\n")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
 def cmd_check(args) -> int:

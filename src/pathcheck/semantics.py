@@ -1,17 +1,21 @@
 """Direct-from-the-definitions evaluation of formulas over finite traces.
 
 This module is the reference oracle the circuit engine is tested against.
-Every operator is decided by enumerating the positions its quantifiers range
-over; there are no recurrences, no normal forms, and no shared code with the
+Every operator is decided from the positions its quantifiers range over;
+there are no recurrences, no normal forms, and no shared code with the
 circuit pipeline.
 
 `holds_at` is the literal recursive reading of the satisfaction relation.
-`eval_seq` computes the same thing for all positions at once with numpy,
-counting "no failure of the left operand inside the between-window" via
-prefix sums; it exists because the literal recursion is exponential in
-formula depth while differential campaigns need tens of thousands of runs.
-The two are property-tested against each other. `eval_array` hands over
-the same bits as a read-only numpy array.
+`eval_seq` computes the same thing for all positions at once with numpy, by
+a first-witness comparison over next/previous-occurrence arrays, O(n) per
+operator: `l U[b] r` holds at i iff the first j >= i with r[j] exists, lies
+within i + b, and comes no later than the first j >= i where l fails (if the
+first witness is blocked or out of reach, so is every later one). Since is
+the mirror image, and Release and Trigger are the exact duals over the same
+window. It exists because the literal recursion is exponential in formula
+depth while differential campaigns need tens of thousands of runs. The two
+are property-tested against each other. `eval_array` hands over the same
+bits as a read-only numpy array.
 """
 
 from __future__ import annotations
@@ -145,65 +149,39 @@ def _seq(trace: Trace, f: Formula) -> np.ndarray:
         child = _seq(trace, f.child)
         return np.concatenate((np.array([pad], dtype=bool), child[:-1]))
     if isinstance(f, (Until, BoundedUntil)):
-        b = n if isinstance(f, Until) else f.bound
-        return _exists_future(_seq(trace, f.left), _seq(trace, f.right), b)
-    if isinstance(f, (Release, BoundedRelease)):
-        b = n if isinstance(f, Release) else f.bound
-        return _forall_future(_seq(trace, f.left), _seq(trace, f.right), b)
+        b = n if isinstance(f, Until) else min(f.bound, n)
+        return _until(_seq(trace, f.left), _seq(trace, f.right), b)
+    if isinstance(f, (Release, BoundedRelease)):  # l R[b] r == !(!l U[b] !r)
+        b = n if isinstance(f, Release) else min(f.bound, n)
+        return ~_until(~_seq(trace, f.left), ~_seq(trace, f.right), b)
     if isinstance(f, (Since, BoundedSince)):
-        b = n if isinstance(f, Since) else f.bound
-        return _exists_past(_seq(trace, f.left), _seq(trace, f.right), b)
-    if isinstance(f, (Trigger, BoundedTrigger)):
-        b = n if isinstance(f, Trigger) else f.bound
-        return _forall_past(_seq(trace, f.left), _seq(trace, f.right), b)
+        b = n if isinstance(f, Since) else min(f.bound, n)
+        return _since(_seq(trace, f.left), _seq(trace, f.right), b)
+    if isinstance(f, (Trigger, BoundedTrigger)):  # l T[b] r == !(!l S[b] !r)
+        b = n if isinstance(f, Trigger) else min(f.bound, n)
+        return ~_since(~_seq(trace, f.left), ~_seq(trace, f.right), b)
     raise TypeError(f"unknown formula node {f!r}")
 
 
-def _future_window(n: int, b: int) -> np.ndarray:
-    # window[i, j] <=> i <= j <= min(i + b, n - 1)
-    idx = np.arange(n)
-    ii, jj = idx[:, None], idx[None, :]
-    return (jj >= ii) & (jj <= ii + b)
+def next_true(a: np.ndarray) -> np.ndarray:
+    """At each i, the least j >= i with a[j], or len(a) if there is none."""
+    n = len(a)
+    return np.minimum.accumulate(np.where(a, np.arange(n), n)[::-1])[::-1]
 
 
-def _past_window(n: int, b: int) -> np.ndarray:
-    # window[i, j] <=> max(i - b, 0) <= j <= i
-    idx = np.arange(n)
-    ii, jj = idx[:, None], idx[None, :]
-    return (jj <= ii) & (jj >= ii - b)
+def prev_true(a: np.ndarray) -> np.ndarray:
+    """At each i, the greatest j <= i with a[j], or -1 if there is none."""
+    return np.maximum.accumulate(np.where(a, np.arange(len(a)), -1))
 
 
-def _exists_future(left: np.ndarray, right: np.ndarray, b: int) -> np.ndarray:
-    # out[i] <=> exists j in the window with right[j] and left true on [i, j)
+def _until(left: np.ndarray, right: np.ndarray, b: int) -> np.ndarray:
+    # out[i] <=> exists j in [i, i + b] with right[j] and left true on [i, j)
     n = len(left)
-    falses = np.concatenate(([0], np.cumsum(~left)))
-    left_solid = (falses[None, :n] - falses[:n, None]) == 0  # [i, j]: no false in left[i:j]
-    hit = _future_window(n, b) & right[None, :] & left_solid
-    return hit.any(axis=1)
+    j = next_true(right)
+    return (j < n) & (j - np.arange(n) <= b) & (j <= next_true(~left))
 
 
-def _forall_future(left: np.ndarray, right: np.ndarray, b: int) -> np.ndarray:
-    # out[i] <=> for all j in the window: right[j] or some left in [i, j)
-    n = len(left)
-    trues = np.concatenate(([0], np.cumsum(left)))
-    left_seen = (trues[None, :n] - trues[:n, None]) > 0
-    ok = right[None, :] | left_seen
-    return (ok | ~_future_window(n, b)).all(axis=1)
-
-
-def _exists_past(left: np.ndarray, right: np.ndarray, b: int) -> np.ndarray:
-    # out[i] <=> exists j in the window with right[j] and left true on (j, i]
-    n = len(left)
-    falses = np.concatenate(([0], np.cumsum(~left)))
-    left_solid = (falses[1 : n + 1][:, None] - falses[1 : n + 1][None, :]) == 0
-    hit = _past_window(n, b) & right[None, :] & left_solid
-    return hit.any(axis=1)
-
-
-def _forall_past(left: np.ndarray, right: np.ndarray, b: int) -> np.ndarray:
-    # out[i] <=> for all j in the window: right[j] or some left in (j, i]
-    n = len(left)
-    trues = np.concatenate(([0], np.cumsum(left)))
-    left_seen = (trues[1 : n + 1][:, None] - trues[1 : n + 1][None, :]) > 0
-    ok = right[None, :] | left_seen
-    return (ok | ~_past_window(n, b)).all(axis=1)
+def _since(left: np.ndarray, right: np.ndarray, b: int) -> np.ndarray:
+    # out[i] <=> exists j in [i - b, i] with right[j] and left true on (j, i]
+    j = prev_true(right)
+    return (j >= 0) & (np.arange(len(left)) - j <= b) & (j >= prev_true(~left))

@@ -93,6 +93,15 @@ class TestRunCampaign:
         assert one.payload == many.payload
         assert one.digest == many.digest
 
+    def test_long_trace_tier(self):
+        # traces of up to 20000 states: the oracle must stay linear in n
+        cfg = CampaignConfig(cases=40, max_size=30, max_len=20_000, max_bound=27, seed=3)
+        one = run_campaign(cfg, processes=1)
+        two = run_campaign(cfg, processes=2)
+        assert one.ok and two.ok
+        assert one.digest == two.digest
+        assert one.elapsed + two.elapsed < 30, f"{one.elapsed:.1f}s + {two.elapsed:.1f}s"
+
     @pytest.mark.parametrize("processes", [1, 3])
     def test_slowest_cases(self, processes):
         result = run_campaign(SMALL, processes=processes)

@@ -71,8 +71,7 @@ class TestCheck:
     @pytest.mark.parametrize("engine", ["circuit", "naive"])
     @pytest.mark.parametrize("n", [1, 3, 14336])
     def test_emit_sequence_text(self, tmp_path, capsys, engine, n):
-        # byte-identical to joining "1"/"0" per position with commas; the
-        # formula has no windowed operator, so the oracle stays linear in n
+        # byte-identical to joining "1"/"0" per position with commas
         rng = np.random.default_rng(n)
         tr = Trace(rng.random((2, n)) < 0.5, ("a", "b"))
         path = tmp_path / "t.csv"
@@ -166,6 +165,16 @@ class TestCheck:
         tf.write_bytes(b"a,b\r\n1,0\r\n0,1\r\n")
         ff = tmp_path / "f.ltl"
         ff.write_bytes(b"a\r\nU b\r\n")
+        rc = main(["check", "--formula-file", str(ff), "--trace", str(tf),
+                   "--emit-sequence"])
+        assert rc == 0
+        assert "sequence=1,1" in capsys.readouterr().out
+
+    def test_lone_cr_files(self, tmp_path, capsys):
+        tf = tmp_path / "t.csv"
+        tf.write_bytes(b"a,b\r1,0\r0,1\r")
+        ff = tmp_path / "f.ltl"
+        ff.write_bytes(b"a\rU b\r")
         rc = main(["check", "--formula-file", str(ff), "--trace", str(tf),
                    "--emit-sequence"])
         assert rc == 0

@@ -1,0 +1,65 @@
+"""Correctness at scale: both engines agree on traces of 10^4 and 10^5
+states, also with bounds near n, and the oracle's memory stays linear in n."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from pathcheck import check, parse
+from pathcheck.formula import prune_bounds
+from pathcheck.semantics import eval_array
+from pathcheck.trace import Trace
+
+# The benchmark's four few-literal families, with `{B}` marking each unbounded
+# temporal operator: name -> (formula template, proposition densities).
+FAMILIES = {
+    "response": ("false R{B} (!req | (true U[16] ack))", {"req": 0.05, "ack": 0.1}),
+    "until_chain": ("a U{B} (b U{B} c)", {"a": 0.9, "b": 0.9, "c": 0.05}),
+    "past": ("(false T{B} (c | Y d)) & (a S[3] e)",
+             {"a": 0.8, "c": 0.7, "d": 0.5, "e": 0.1}),
+    "left_grid": ("z & (p U[3] (q R{B} r))", {"z": 0.9, "p": 0.7, "q": 0.1, "r": 0.9}),
+}
+
+
+def family_trace(name: str, n: int) -> Trace:
+    densities = FAMILIES[name][1]
+    rng = np.random.default_rng(sorted(FAMILIES).index(name) * 1_000_003 + n)
+    alphabet = tuple(densities)
+    return Trace(np.array([rng.random(n) < densities[a] for a in alphabet]), alphabet)
+
+
+def assert_engines_agree(f, tr):
+    circuit = check(f, tr).sequence
+    naive = check(f, tr, engine="naive").sequence
+    assert len(circuit) == len(tr)
+    assert np.array_equal(circuit, naive)
+
+
+@pytest.mark.parametrize("n", [10_000, 100_000])
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_families_agree(name, n):
+    assert_engines_agree(parse(FAMILIES[name][0].replace("{B}", "")), family_trace(name, n))
+
+
+@pytest.mark.parametrize("offset", [-2, -1, 0, 1])
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_bounds_near_n_agree(name, offset):
+    n = 10_000
+    f = parse(FAMILIES[name][0].replace("{B}", f"[{n + offset}]"))
+    assert (prune_bounds(f, n) != f) == (offset > 0)
+    assert_engines_agree(f, family_trace(name, n))
+
+
+def test_oracle_memory_is_linear():
+    n = 1_000_000
+    rng = np.random.default_rng(5)
+    tr = Trace(rng.random((3, n)) < 0.5, ("a", "b", "c"))
+    f = parse("(a U (b S[5] c)) S (!a U[7] (b T (a R c)))")
+    tracemalloc.start()
+    try:
+        eval_array(tr, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * n, f"peak {peak / n:.1f} bytes per position"

@@ -1,10 +1,13 @@
+import itertools
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pathcheck.errors import UnknownProposition
 from pathcheck.formula import format_formula, parse, prune_bounds, to_pnf
-from pathcheck.semantics import eval_seq, holds_at
-from pathcheck.trace import make_trace
+from pathcheck.semantics import eval_seq, holds_at, next_true, prev_true
+from pathcheck.trace import Trace, make_trace
 
 from test_formula import formulas
 
@@ -75,6 +78,12 @@ class TestGolden:
             f = parse(f"a {op}[0] b")
             assert eval_seq(tr, f) == eval_seq(tr, parse("b"))
 
+    def test_bound_beyond_int64(self):
+        tr = bits_trace(a="1101", b="0010")
+        for op in ("U", "R", "S", "T"):
+            f = parse(f"a {op}[{10 ** 20}] b")
+            assert eval_seq(tr, f) == eval_seq(tr, parse(f"a {op} b"))
+
     def test_sugar(self):
         tr = bits_trace(a="0010")
         assert eval_seq(tr, parse("F a")) == (True, True, True, False)
@@ -114,6 +123,43 @@ class TestHoldsAt:
     @given(formulas(), traces())
     def test_matches_eval_seq(self, f, tr):
         assert tuple(holds_at(tr, f, i) for i in range(len(tr))) == eval_seq(tr, f)
+
+
+@st.composite
+def binary_edge_cases(draw, max_len=8):
+    """`a OP[bound] b` over a two-column trace, with the right operand drawn
+    to put its witnesses at the trace edges, nowhere, or everywhere."""
+    n = draw(st.integers(min_value=1, max_value=max_len))
+    bools = st.lists(st.booleans(), min_size=n, max_size=n)
+    left = draw(st.one_of(st.just([True] * n), bools))
+    right = draw(st.sampled_from([
+        [False] * n,                             # no witness: the sentinel case
+        [True] * n,
+        [j == 0 for j in range(n)],
+        [j == n - 1 for j in range(n)],
+        [j in (0, n - 1) for j in range(n)],
+    ]) | bools)
+    op = draw(st.sampled_from("URST"))
+    bound = draw(st.none() | st.integers(min_value=0, max_value=n + 2))
+    text = f"a {op} b" if bound is None else f"a {op}[{bound}] b"
+    return parse(text), Trace(np.array([left, right], dtype=bool), ("a", "b"))
+
+
+class TestWitnessArrays:
+    @pytest.mark.parametrize("n", range(7))
+    def test_match_plain_loop(self, n):
+        for bits in itertools.product((False, True), repeat=n):
+            a = np.array(bits, dtype=bool)
+            nxt = [next((j for j in range(i, n) if bits[j]), n) for i in range(n)]
+            prv = [next((j for j in range(i, -1, -1) if bits[j]), -1) for i in range(n)]
+            assert next_true(a).tolist() == nxt
+            assert prev_true(a).tolist() == prv
+
+    @settings(max_examples=400, deadline=None)
+    @given(binary_edge_cases())
+    def test_binary_edges_match_holds_at(self, case):
+        f, tr = case
+        assert eval_seq(tr, f) == tuple(holds_at(tr, f, i) for i in range(len(tr)))
 
 
 class TestTransforms:
