@@ -15,7 +15,7 @@ import numpy as np
 
 from .circuit import Transducer, constant_circuit
 from .errors import BuildError
-from .rows import AND, CHAIN_AND, CHAIN_OR, FALSE, ID, OR, TRUE, Label, Row, fold
+from .rows import AND, CHAIN_AND, CHAIN_OR, FALSE, ID, OR, TRUE, Label, Row, fold, positions
 from .trace import Trace, atom_sequence
 
 FUTURE_OPS = ("U", "R")
@@ -60,7 +60,7 @@ def build_boolean(n: int, op: str, known) -> Label:
     known = _known(n, known)
     absorbing = op == "|"  # the known value that decides the output
     kind = np.where(known == absorbing, TRUE if absorbing else FALSE, ID).astype(np.uint8)
-    return Label(n, (Row(kind, np.arange(n)),))
+    return Label(n, (Row(kind, positions(n)),))
 
 
 def _known(n: int, known) -> np.ndarray:
@@ -106,7 +106,7 @@ def build_unbounded(n: int, op: str, known_side: str, known) -> Label:
     # the chain's far end: no neighbour to recurse into
     edge = n - 1 if future else 0
     kind[edge] = (TRUE if known[edge] else FALSE) if right_known else ID
-    raw = Row(kind, np.arange(n), d=1 if future else -1, raw=True)
+    raw = Row(kind, positions(n), d=1 if future else -1, raw=True)
     return Label(n, (fold(raw),))
 
 
@@ -136,7 +136,7 @@ def build_bounded(n: int, op: str, bound: int, known_side: str, known) -> Label:
     known = _known(n, known)
     exists = op in ("U", "S")
     step = 1 if op in FUTURE_OPS else -1
-    at = np.arange(n)
+    at = positions(n)
     if known_side == "right":
         # a witness settles output i at once: a known True for U/S, False for R/T
         witness = known == exists

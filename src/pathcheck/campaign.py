@@ -130,9 +130,15 @@ def random_formula(rng: random.Random, budget: int, max_bound: int, alphabet=ALP
 
 
 def random_trace(rng: random.Random, max_len: int, alphabet=ALPHABET) -> Trace:
+    """A trace of 1..max_len states whose cell (i, p) is `rng.random() < 0.5`
+    of the i * len(alphabet) + p-th draw. One `getrandbits` call draws the
+    same 32-bit words and leaves `rng` in the same state: `random()` is below
+    0.5 exactly when the top bit of the first of its two words is 0."""
     n = rng.randint(1, max_len)
-    bits = [[rng.random() < 0.5 for _ in alphabet] for _ in range(n)]
-    return Trace(np.array(bits, dtype=bool).T, tuple(alphabet))
+    cells = n * len(alphabet)
+    words = np.frombuffer(rng.getrandbits(64 * cells).to_bytes(8 * cells, "little"), "<u4")
+    bits = words[::2] < 1 << 31
+    return Trace(bits.reshape(n, len(alphabet)).T, tuple(alphabet))
 
 
 def run_case(cfg: CampaignConfig, index: int) -> tuple[bytes, Optional[CaseFailure]]:

@@ -329,10 +329,10 @@ def compose(first: Transducer, second: Transducer) -> Transducer:
     c.kind.extend(second.circuit.kind)
     c.arg0.extend(a + off if a >= 0 else -1 for a in second.circuit.arg0)
     c.arg1.extend(a + off if a >= 0 else -1 for a in second.circuit.arg1)
-    for pos, gate in enumerate(second.inputs):
+    for gate, out in zip(second.inputs, first.outputs):
         gid = gate + off
         c.kind[gid] = G_ID
-        c.arg0[gid] = first.outputs[pos]
+        c.arg0[gid] = out
         c.arg1[gid] = -1
     return Transducer(c, first.inputs, tuple(o + off for o in second.outputs))
 

@@ -214,14 +214,16 @@ class _Plan:
 
 def _build_partial(f: Formula, known_side: str, known, n: int) -> Label:
     """The operator f specialized on its known operand: evaluated, except for
-    the raw collapsed row of a bounded operator with its right side known."""
+    the raw collapsed row of a bounded operator with its right side known.
+    A bound of at least n - 1 lets every window reach the trace's end, so
+    that operator is built as the unbounded one."""
     kind = _PARTIAL_BINARY.get(type(f))
     if kind is None:
         raise ContractionError(f"not a binary operator node: {format_formula(f)}")
     op, flavour = kind
     if op in ("&", "|"):
         return builder.build_boolean(n, op, known)
-    if flavour == "bounded":
+    if flavour == "bounded" and f.bound < n - 1:
         return builder.build_bounded(n, op, f.bound, known_side, known)
     return builder.build_unbounded(n, op, known_side, known)
 

@@ -177,7 +177,13 @@ def format_formula(f: Formula) -> str:
 
 # --- parsing ---------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[0-9]+|[!&|()\[\]]")
+# One alternative matches at every offset: a token, a newline, a run of
+# blanks, or (last) any other character, which is an error.
+_TOKEN_RE = re.compile(
+    r"(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<nat>[0-9]+)|(?P<punct>[!&|()\[\]])"
+    r"|(?P<newline>\n)|[ \t\r]+|(?P<bad>.)",
+    re.DOTALL,
+)
 
 _UNARY_KEYWORDS = {"X": Next, "wX": WeakNext, "Y": Yesterday, "wY": WeakYesterday}
 _BINARY_KEYWORDS = {
@@ -204,33 +210,21 @@ class _Token(NamedTuple):
 
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
+    line, start = 1, 0  # start: offset of the current line's first character
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind is None:  # blanks
+            continue
+        if kind == "newline":
             line += 1
-            col = 1
-            i += 1
+            start = m.end()
             continue
-        if ch in " \t\r":
-            col += 1
-            i += 1
-            continue
-        m = _TOKEN_RE.match(text, i)
-        if m is None:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
         tok = m.group()
-        if tok[0].isdigit():
-            kind = "nat"
-        elif tok[0].isalpha() or tok[0] == "_":
-            kind = "ident"
-        else:
-            kind = tok
-        tokens.append(_Token(kind, tok, line, col))
-        col += len(tok)
-        i = m.end()
-    tokens.append(_Token("eof", "", line, col))
+        col = m.start() - start + 1
+        if kind == "bad":
+            raise ParseError(f"unexpected character {tok!r}", line, col)
+        tokens.append(_Token(tok if kind == "punct" else kind, tok, line, col))
+    tokens.append(_Token("eof", "", line, len(text) - start + 1))
     return tokens
 
 

@@ -14,22 +14,34 @@ identity. Row r reads the row below it (row 0 reads the variables):
 
 A chain is a prefix computation: a chain cell takes the value of the next
 settled cell in direction d, which one `np.minimum.accumulate` (maximum, for
-d = -1) finds for the whole row. So `apply` is a gather and at most one scan
-per row.
+d = -1) finds for the whole row. So `apply` is at most two gathers, one
+table lookup and one scan per row.
+
+Each per-cell rule is one lookup in a flat uint8 table, by a code computed
+in uint8 from the cell's kind and what it reads: `kind * 4 + 2x + y` when
+applying, `kind * 9 + 3x + y` when folding (x, y: 0, 1, or 2 for not a
+constant), `kind * 8 + neighbour kind` when cutting chains. A lookup by
+three index arrays would have numpy widen each of them to intp first. Rows
+that read the row below in place (boolean, unbounded and collapsed bounded
+rows) share one read-only `positions(n)` as their operand index, and the
+kernels skip the gather through it; an equal array that is not that one is
+gathered, with the same result.
 
 A label is evaluated when no cell reads a constant. `compose_evaluated`
 stacks two labels and folds the constants at the seam upward: a table lookup
 per cell, then two chain scans (0 flows through COPY and CHAIN_AND cells, 1
-through COPY and CHAIN_OR cells), stopping at the first row that gains no
-constant. It drops every row below an all-constant row and fuses each
-pure-gather row (constants and IDs, such as a shift) into the row above by
-composing indices. Labels keep the reading interface of `circuit.Transducer`
-through a gate view built on demand, so the gate-level `validate`,
-`evaluate`, `compose`, `apply` and DOT output work on them.
+through COPY and CHAIN_OR cells, each skipped when no such chain ends at
+that constant), stopping at the first row that gains no constant. It drops
+every row below an all-constant row and fuses each pure-gather row
+(constants and IDs, such as a shift) into the row above by composing
+indices. Labels keep the reading interface of `circuit.Transducer` through a
+gate view built on demand, so the gate-level `validate`, `evaluate`,
+`compose`, `apply` and DOT output work on them.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -43,18 +55,18 @@ FALSE, TRUE, ID, AND, OR, COPY, CHAIN_AND, CHAIN_OR = range(8)
 
 _GATE_KIND = np.array([G_FALSE, G_TRUE, G_ID, G_AND, G_OR, G_ID, G_AND, G_OR])
 
-# _APPLY[kind, x, y]: a cell's value when the row below holds x at a[i] and
-# y at b[i]; 2 means the value of the next cell along the chain.
+# _APPLY[kind * 4 + 2 * x + y]: a cell's value when the row below holds x at
+# a[i] and y at b[i]; 2 means the value of the next cell along the chain.
 _NEXT = 2
 _APPLY = np.array([
-    [[0, 0], [0, 0]],  # FALSE
-    [[1, 1], [1, 1]],  # TRUE
-    [[0, 0], [1, 1]],  # ID
-    [[0, 0], [0, 1]],  # AND
-    [[0, 1], [1, 1]],  # OR
-    [[2, 2], [2, 2]],  # COPY
-    [[0, 0], [2, 2]],  # CHAIN_AND
-    [[2, 2], [1, 1]],  # CHAIN_OR
+    0, 0, 0, 0,  # FALSE
+    1, 1, 1, 1,  # TRUE
+    0, 0, 1, 1,  # ID
+    0, 0, 0, 1,  # AND
+    0, 1, 1, 1,  # OR
+    2, 2, 2, 2,  # COPY
+    0, 0, 2, 2,  # CHAIN_AND
+    2, 2, 1, 1,  # CHAIN_OR
 ], dtype=np.uint8)
 
 # 0/1 for a constant kind, 2 for any other
@@ -76,36 +88,55 @@ def _local_fold(kind: int, x: int, y: int) -> tuple[int, bool]:
     return kind, False  # constants and COPY read nothing below
 
 
-_FOLD = np.zeros((8, 3, 3), dtype=np.uint8)
-_SWAP = np.zeros((8, 3, 3), dtype=bool)
+# _FOLD[kind * 9 + 3 * x + y]: the folded kind, plus _SWAPPED where the
+# surviving operand is b
+_SWAPPED = 8
+_FOLD = np.zeros(8 * 9, dtype=np.uint8)
 for _k, _x, _y in product(range(8), range(3), range(3)):
-    _FOLD[_k, _x, _y], _SWAP[_k, _x, _y] = _local_fold(_k, _x, _y)
+    _kind, _swap = _local_fold(_k, _x, _y)
+    _FOLD[_k * 9 + _x * 3 + _y] = _kind + _SWAPPED * _swap
 
-# the chain kinds a 0 (resp. a 1) flows through
-_THROUGH = {FALSE: np.isin(np.arange(8), (COPY, CHAIN_AND)),
-            TRUE: np.isin(np.arange(8), (COPY, CHAIN_OR))}
-# _CUT[kind, neighbour kind]: a chain AND/OR next to a constant is an ID of
-# its operand below (the constant cases that absorb were settled before)
-_CUT = np.tile(np.arange(8, dtype=np.uint8)[:, None], (1, 8))
-_CUT[CHAIN_AND:, :TRUE + 1] = ID
+# _CUT[kind * 8 + neighbour kind]: a chain AND/OR next to a constant is an ID
+# of its operand below (the constant cases that absorb were settled before)
+_CUT = np.repeat(np.arange(8, dtype=np.uint8), 8)
+for _k, _x in product((CHAIN_AND, CHAIN_OR), (FALSE, TRUE)):
+    _CUT[_k * 8 + _x] = ID
+
+
+@lru_cache(maxsize=4)  # a check works at one n
+def positions(n: int) -> np.ndarray:
+    """The read-only array 0..n-1. Builders pass it as the operand index of
+    rows that read the row below in place, and the kernels skip the gather
+    through it; any other array holding 0..n-1 reads the same, gathered."""
+    at = np.arange(n)
+    at.flags.writeable = False
+    return at
+
+
+def _read(cells: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """cells[index], without the gather when index is positions(n)."""
+    return cells if index is positions(len(cells)) else cells[index]
 
 
 class Row:
     """One row: cell kinds, operand indices a and b into the row below (valid
     indices even where unused) and the chain direction d (0 without chains).
     A raw row (a builder's collapsed bounded row) may have chain cells that
-    read constants; folding it settles them. Rows are never mutated."""
+    read constants; folding it settles them. Rows are never mutated. `top`
+    (the largest kind) and `consts` (the number of constant cells) are
+    counted unless the caller passes them."""
 
     __slots__ = ("kind", "a", "b", "d", "raw", "top", "consts")
 
-    def __init__(self, kind, a, b=None, d: int = 0, raw: bool = False):
+    def __init__(self, kind, a, b=None, d: int = 0, raw: bool = False, *,
+                 top: int | None = None, consts: int | None = None):
         self.kind = kind
         self.a = a
         self.b = a if b is None else b
         self.d = d
         self.raw = raw
-        self.top = int(kind.max())
-        self.consts = int(np.count_nonzero(kind <= TRUE))
+        self.top = int(kind.max()) if top is None else top
+        self.consts = int(np.count_nonzero(kind <= TRUE)) if consts is None else consts
 
 
 class Label:
@@ -148,8 +179,14 @@ def _next(stop, d: int) -> np.ndarray:
     `stop` holds; a chain's far end always stops it."""
     n = len(stop)
     if d > 0:
-        return np.minimum.accumulate(np.where(stop, np.arange(n), n)[::-1])[::-1]
-    return np.maximum.accumulate(np.where(stop, np.arange(n), -1))
+        return np.minimum.accumulate(np.where(stop, positions(n), n)[::-1])[::-1]
+    return np.maximum.accumulate(np.where(stop, positions(n), -1))
+
+
+def _operands(row: Row, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The row below's cells at a[i] and at b[i]."""
+    x = _read(cells, row.a)
+    return x, (x if row.b is row.a else _read(cells, row.b))
 
 
 def apply(label: Label, bits) -> np.ndarray:
@@ -159,33 +196,54 @@ def apply(label: Label, bits) -> np.ndarray:
         raise CircuitError(f"arity mismatch: {len(v)} bits for {label.n} inputs")
     v = v.view(np.uint8)
     for row in label.rows:
-        v = _APPLY[row.kind, v[row.a], v[row.b]]
+        x, y = _operands(row, v)
+        v = _APPLY.take(row.kind * 4 + 2 * x + y)  # uint8 codes below 32
         if row.top >= COPY:
             v = v[_next(v != _NEXT, row.d)]
     return v.view(bool)
 
 
+def _any_before(cells: np.ndarray, ends: np.ndarray, d: int) -> bool:
+    """Whether some cell i has cells[i] and ends[i + d]."""
+    if d > 0:
+        return bool((cells[:-1] & ends[1:]).any())
+    return bool((cells[1:] & ends[:-1]).any())
+
+
+# each constant, and the chain kind it flows through besides COPY
+_THROUGH = ((FALSE, CHAIN_AND), (TRUE, CHAIN_OR))
+
+
 def fold(row: Row, below: Row | None = None) -> Row:
     """The row with the constants of `below` (None: the variables) folded in
     and let flow along its chains; the row itself when nothing changes."""
-    kind, a = row.kind, row.a
+    kind, a, consts = row.kind, row.a, row.consts
     if below is not None and below.consts:
-        const = _CONST[below.kind]
-        x, y = const[a], const[row.b]
-        kind = _FOLD[kind, x, y]
-        swap = _SWAP[row.kind, x, y]
-        if swap.any():
+        x, y = _operands(row, _CONST.take(below.kind))
+        kind = _FOLD.take(kind * 9 + 3 * x + y)  # uint8 codes below 72
+        if kind.max() >= _SWAPPED:
+            swap = kind >= _SWAPPED
             a = np.where(swap, row.b, a)
+            kind -= swap * np.uint8(_SWAPPED)
+        consts = int(np.count_nonzero(kind <= TRUE))
     elif not row.raw:
         return row
-    if row.top >= COPY and (row.raw or np.count_nonzero(kind <= TRUE) > row.consts):
-        for value, through in _THROUGH.items():
-            passes = through[kind]
+    if row.top >= COPY and (row.raw or consts > row.consts):
+        for value, chain in _THROUGH:
+            passes = (kind == COPY) | (kind == chain)
+            if not _any_before(passes, kind == value, row.d):
+                continue  # no chain ends at this constant
             reached = passes & (kind[_next(~passes, row.d)] == value)
-            kind = np.where(reached, value, kind).astype(np.uint8, copy=False)
-        # the far end's wrapped-around neighbour does not matter: not a chain cell
-        kind = _CUT[kind, np.roll(kind, -row.d)]
-    return Row(kind, a, row.b, row.d)
+            kind = np.where(reached, np.uint8(value), kind)
+        # the far end gets no neighbour in its code: it is not a chain cell
+        code = kind * 8
+        if row.d > 0:
+            code[:-1] += kind[1:]
+        else:
+            code[1:] += kind[:-1]
+        kind = _CUT.take(code)
+        consts = None
+    return Row(kind, a, row.b, row.d, consts=consts)
 
 
 def compose_evaluated(first: Label, second: Label) -> Label:
@@ -215,15 +273,16 @@ def compose_evaluated(first: Label, second: Label) -> Label:
     for row in rows:
         if fused and fused[-1].top <= ID:
             gather = fused.pop().a
-            b = gather[row.b] if row.b is not row.a else None
-            row = Row(row.kind, gather[row.a], b, row.d)
+            a = _read(gather, row.a)
+            b = _read(gather, row.b) if row.b is not row.a else None
+            row = Row(row.kind, a, b, row.d, top=row.top, consts=row.consts)
         fused.append(row)
     return Label(first.n, fused)
 
 
 def _flatten(label: Label) -> Circuit:
     n = label.n
-    at = np.arange(n)
+    at = positions(n)
     kind, arg0, arg1 = [G_VAR] * n, [-1] * n, [-1] * n
     target = at  # per cell of the row below: the gate an ID reading it points at
     for r, row in enumerate(label.rows):

@@ -49,6 +49,19 @@ class TestGenerators:
             assert 1 <= len(tr) <= 9
             assert tr.alphabet == ALPHABET
 
+    def test_trace_matches_per_cell_draws(self):
+        # cell (i, p) is the (i * len(alphabet) + p)-th `random() < 0.5`, and
+        # the generator ends in the same state as after those draws
+        for seed in range(150):
+            for max_len in (1, 2, 3, 17, 130):
+                for alphabet in (("a",), ALPHABET):
+                    want_rng, rng = random.Random(seed), random.Random(seed)
+                    n = want_rng.randint(1, max_len)
+                    want = [[want_rng.random() < 0.5 for _ in alphabet] for _ in range(n)]
+                    tr = random_trace(rng, max_len, alphabet)
+                    assert tr.columns.T.tolist() == want
+                    assert rng.random() == want_rng.random()
+
     def test_same_seed_same_case(self):
         rng1 = random.Random(case_seed(5, 17))
         rng2 = random.Random(case_seed(5, 17))
@@ -101,6 +114,25 @@ class TestRunCampaign:
         assert one.ok and two.ok
         assert one.digest == two.digest
         assert one.elapsed + two.elapsed < 30, f"{one.elapsed:.1f}s + {two.elapsed:.1f}s"
+
+    @pytest.mark.parametrize(
+        "cases,max_len,seed,digest",
+        [
+            (400, 50, 1, "83a673fdfcf17268445d4a465912ebb753d5f12131268b7df560bdcb0145a76e"),
+            (400, 50, 7, "b591707655a81c6527feb7c196cbaea5efa6c8fdbf0c0d465e4f9fdc1ff366af"),
+            (400, 50, 42, "aea53e296eba2cf05b76c2890f137ef328accfed5c81eab057e487ca96542ef6"),
+            (40, 3000, 1, "102dd5253d16372ded91c28e67cbee657379f5a3512567e77291e505b764c7bf"),
+            (40, 3000, 7, "560885cf75f2a432a54af9e58658d1751a1efd42c8dc522c281280c78bc0c34f"),
+            (40, 3000, 42, "620daa4a16b8cb5e5f0adbef15e42b8afb70f0c009dcdb80d72da5f60d1c3c36"),
+        ],
+        ids=lambda v: str(v)[:8],
+    )
+    def test_golden_digest(self, cases, max_len, seed, digest):
+        # verdicts for fixed seeds, short and long traces: no change to the
+        # trace generator or the row kernels may move them
+        result = run_campaign(CampaignConfig(cases=cases, max_len=max_len, seed=seed))
+        assert result.ok
+        assert result.digest == digest
 
     @pytest.mark.parametrize("processes", [1, 3])
     def test_slowest_cases(self, processes):

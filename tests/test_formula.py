@@ -134,6 +134,11 @@ class TestParse:
             ("a b", 1, 3),
             ("", 1, 1),
             ("a &\n& b", 2, 1),
+            # tabs and CRs are one column each; only LF starts a line
+            ("a &\t\r\n\t(b U\r\n  c) $", 3, 6),
+            ("\t\ta U\r\n\r\n\t b c", 3, 5),
+            ("a &\r\n\t", 2, 2),
+            ("X\t\r[3]\n a", 1, 4),
         ],
     )
     def test_errors_carry_position(self, text, line, col):

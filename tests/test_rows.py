@@ -6,7 +6,12 @@ import random
 import numpy as np
 import pytest
 
-from pathcheck.builder import build_boolean, build_shift
+from pathcheck.builder import (
+    build_boolean,
+    build_bounded,
+    build_shift,
+    build_unbounded,
+)
 from pathcheck.circuit import (
     Transducer,
     apply as gate_apply,
@@ -16,7 +21,16 @@ from pathcheck.circuit import (
     validate,
 )
 from pathcheck.errors import CircuitError
-from pathcheck.rows import COPY, TRUE, apply, compose_evaluated, identity
+from pathcheck.rows import (
+    COPY,
+    TRUE,
+    Label,
+    Row,
+    apply,
+    compose_evaluated,
+    identity,
+    positions,
+)
 
 from helpers import random_bits, random_builder_label, random_label, truth_table
 
@@ -93,3 +107,78 @@ class TestComposeEvaluated:
     def test_arity_mismatch(self):
         with pytest.raises(CircuitError, match="arity"):
             compose_evaluated(identity(1), identity(2))
+
+
+def skewed_bits(rng, n):
+    # mostly-true or mostly-false runs make long chains, as on real traces
+    p = rng.choice((0.03, 0.5, 0.97))
+    return tuple(rng.random() < p for _ in range(n))
+
+
+def wide_builder_label(rng, n, kind):
+    op = rng.choice(("U", "R", "S", "T"))  # chains run forward for U/R, back for S/T
+    known = skewed_bits(rng, n)
+    if kind == "unbounded":
+        return build_unbounded(n, op, rng.choice(("left", "right")), known)
+    if kind == "raw":  # a collapsed bounded row, not folded
+        return build_bounded(n, op, rng.choice((1, 7, n // 3, n - 2)), "right", known)
+    if kind == "grid":
+        return build_bounded(n, op, rng.randrange(1, 4), "left", known)
+    if kind == "constant":
+        boolean = rng.choice("&|")
+        return build_boolean(n, boolean, (boolean == "|",) * n)
+    if kind == "boolean":
+        return build_boolean(n, rng.choice("&|"), known)
+    return build_shift(n, rng.choice(("X", "wX", "Y", "wY")))
+
+
+def unshared(label):
+    """The label with every operand index that is the shared positions(n)
+    replaced by a copy, so that no gather is skipped."""
+    def copy(index):
+        return np.arange(label.n) if index is positions(label.n) else index
+
+    out = []
+    for row in label.rows:
+        a = copy(row.a)
+        out.append(Row(row.kind, a, a if row.b is row.a else copy(row.b), row.d, row.raw))
+    return Label(label.n, out)
+
+
+KINDS = ("unbounded", "raw", "grid", "constant", "boolean", "shift")
+
+
+class TestWide:
+    """The kernels at widths where chains are long, against the gate-level
+    referee, with and without the shared identity operand."""
+
+    @pytest.mark.parametrize("n", [257, 4099])
+    def test_apply_matches_gate_view(self, n):
+        rng = random.Random(n)
+        for kind in KINDS * 2:
+            built = wide_builder_label(rng, n, kind)  # raw rows as built
+            stacked = compose_evaluated(
+                compose_evaluated(identity(n), built), wide_builder_label(rng, n, "unbounded")
+            )
+            for label in (built, stacked):
+                bits = skewed_bits(rng, n)
+                want = gate_apply(label, bits)
+                assert tuple(apply(label, bits).tolist()) == want
+                assert tuple(apply(unshared(label), bits).tolist()) == want
+
+    @pytest.mark.parametrize("n", [257, 4099])
+    def test_compose_matches_evaluate_of_compose(self, n):
+        rng = random.Random(n + 1)
+        for kind in KINDS * 2:
+            first = compose_evaluated(identity(n), wide_builder_label(rng, n, rng.choice(KINDS)))
+            second = wide_builder_label(rng, n, kind)  # may be raw: it goes on top
+            plain = compose(first, second)
+            cooked = Transducer(evaluate(plain.circuit), plain.inputs, plain.outputs)
+            bits = skewed_bits(rng, n)
+            want = gate_apply(cooked, bits)
+            fused = compose_evaluated(first, second)
+            assert_row_invariant(fused)
+            assert tuple(apply(fused, bits).tolist()) == want
+            copied = compose_evaluated(unshared(first), unshared(second))
+            assert [r.kind.tolist() for r in copied.rows] == [r.kind.tolist() for r in fused.rows]
+            assert tuple(apply(copied, bits).tolist()) == want

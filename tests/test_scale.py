@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from pathcheck import check, parse
-from pathcheck.formula import prune_bounds
+from pathcheck.contraction import init_tree, run_contraction
+from pathcheck.formula import prune_bounds, to_pnf
 from pathcheck.semantics import eval_array
 from pathcheck.trace import Trace
 
@@ -49,6 +50,24 @@ def test_bounds_near_n_agree(name, offset):
     f = parse(FAMILIES[name][0].replace("{B}", f"[{n + offset}]"))
     assert (prune_bounds(f, n) != f) == (offset > 0)
     assert_engines_agree(f, family_trace(name, n))
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_window_covering_trace_is_unbounded(offset):
+    # a bound of at least n - 1 is the unbounded operator: one chain row,
+    # where a bounded operator with its left operand known would unroll
+    # `bound` rows
+    n = 10_000
+    f = parse(f"a U[{n + offset}] (b U[{n + offset}] c)")
+    tr = family_trace("until_chain", n)
+    depths = []
+
+    def on_stage(tree, stage):
+        depths.append(max(len(label.rows) for label in tree.labels.values()))
+
+    seq = run_contraction(init_tree(prune_bounds(to_pnf(f), n), tr), on_stage=on_stage)
+    assert max(depths) <= 2
+    assert np.array_equal(seq, check(f, tr, engine="naive").sequence)
 
 
 def test_oracle_memory_is_linear():
