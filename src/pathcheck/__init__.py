@@ -14,10 +14,6 @@ from .errors import (
 from .formula import (
     Atom,
     And,
-    BoundedRelease,
-    BoundedSince,
-    BoundedTrigger,
-    BoundedUntil,
     Formula,
     Next,
     Not,

@@ -23,25 +23,15 @@ import numpy as np
 from .contraction import check
 from .errors import PathcheckError
 from .formula import (
+    BINARY_TEMPORAL,
+    UNARY_TEMPORAL,
     And,
     Atom,
-    BoundedRelease,
-    BoundedSince,
-    BoundedTrigger,
-    BoundedUntil,
     Formula,
-    Next,
     Not,
     Or,
-    Release,
-    Since,
-    Trigger,
-    Until,
-    WeakNext,
-    WeakYesterday,
-    Yesterday,
+    children,
     format_formula,
-    size,
 )
 from .semantics import eval_seq
 from .trace import Trace, to_csv
@@ -49,9 +39,7 @@ from .trace import Trace, to_csv
 ALPHABET = ("a", "b", "c", "d")
 SLOWEST = 5  # slowest cases a campaign reports
 
-_BOUNDED = (BoundedUntil, BoundedRelease, BoundedSince, BoundedTrigger)
-_PLAIN_BINARY = (And, Or, Until, Release, Since, Trigger)
-_UNARY = (Next, WeakNext, Yesterday, WeakYesterday)
+_PLAIN_BINARY = (And, Or) + BINARY_TEMPORAL
 
 
 @dataclass(frozen=True)
@@ -102,7 +90,7 @@ def random_formula(rng: random.Random, budget: int, max_bound: int, alphabet=ALP
     if budget <= 1:
         return Atom(rng.choice(alphabet))
     if budget >= 3 and rng.random() < 0.2:
-        cls = rng.choice(_BOUNDED)
+        cls = rng.choice(BINARY_TEMPORAL)
         bound = rng.randint(0, min(max_bound, budget - 3))
         rest = budget - 1 - bound
         left = rng.randint(1, rest - 1)
@@ -117,7 +105,7 @@ def random_formula(rng: random.Random, budget: int, max_bound: int, alphabet=ALP
     if pick == 1:
         return Not(random_formula(rng, budget - 1, max_bound, alphabet))
     if pick < 6:
-        cls = _UNARY[pick - 2]
+        cls = UNARY_TEMPORAL[pick - 2]
         return cls(random_formula(rng, budget - 1, max_bound, alphabet))
     cls = _PLAIN_BINARY[pick - 6]
     if budget < 3:
@@ -220,14 +208,6 @@ def _disagrees(f: Formula, tr: Trace) -> bool:
         return True
 
 
-def _children(f: Formula) -> list[Formula]:
-    if isinstance(f, Atom):
-        return []
-    if isinstance(f, (Not,) + _UNARY):
-        return [f.child]
-    return [f.left, f.right]
-
-
 def minimize(f: Formula, tr: Trace) -> tuple[Formula, Trace]:
     """Shrink a disagreeing (formula, trace) pair greedily: halve the trace
     while it still disagrees, then try replacing the formula with one of its
@@ -248,8 +228,8 @@ def minimize(f: Formula, tr: Trace) -> tuple[Formula, Trace]:
                     break
             if improved:
                 continue
-        for child in _children(f):
-            if size(child) >= 1 and _disagrees(child, tr):
+        for child in children(f):
+            if _disagrees(child, tr):
                 f = child
                 improved = True
                 break

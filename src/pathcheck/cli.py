@@ -54,10 +54,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RecursionError:
-        # the formula transforms recurse once per nesting level
-        print("error: formula nested too deeply", file=sys.stderr)
-        return 2
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -29,19 +29,10 @@ from . import builder
 from .circuit import constants_are_sinks, validate
 from .errors import ContractionError, TraceError
 from .formula import (
-    And,
-    BoundedRelease,
-    BoundedSince,
-    BoundedTrigger,
-    BoundedUntil,
-    Formula,
-    Or,
-    Release,
-    Since,
-    Trigger,
+    TOKENS,
     UNARY_TEMPORAL,
-    Until,
-    _UNARY_TOKEN,
+    Binary,
+    Formula,
     atom_names,
     format_formula,
     is_literal,
@@ -54,20 +45,6 @@ from .rows import Label, apply, compose_evaluated, identity
 from .trace import Trace, atom_sequence, require_known
 
 ROOT = -1
-
-_PARTIAL_BINARY = {
-    And: ("&", None),
-    Or: ("|", None),
-    Until: ("U", None),
-    Release: ("R", None),
-    Since: ("S", None),
-    Trigger: ("T", None),
-    BoundedUntil: ("U", "bounded"),
-    BoundedRelease: ("R", "bounded"),
-    BoundedSince: ("S", "bounded"),
-    BoundedTrigger: ("T", "bounded"),
-}
-
 
 class ContractionTree:
     """Mutable contraction state over one trace.
@@ -172,7 +149,7 @@ def init_tree(f: Formula, trace: Trace) -> ContractionTree:
             # climbing outward: the shift just climbed must transform the
             # sequence after everything already in the label, i.e. compose on
             # the output side
-            label = compose_evaluated(label, builder.build_shift(n, _UNARY_TOKEN[type(u)]))
+            label = compose_evaluated(label, builder.build_shift(n, TOKENS[type(u)]))
             top_formula = u
             slot = occs[p].slot
             p = occs[p].parent
@@ -217,13 +194,12 @@ def _build_partial(f: Formula, known_side: str, known, n: int) -> Label:
     the raw collapsed row of a bounded operator with its right side known.
     A bound of at least n - 1 lets every window reach the trace's end, so
     that operator is built as the unbounded one."""
-    kind = _PARTIAL_BINARY.get(type(f))
-    if kind is None:
+    if not isinstance(f, Binary):
         raise ContractionError(f"not a binary operator node: {format_formula(f)}")
-    op, flavour = kind
+    op = TOKENS[type(f)]
     if op in ("&", "|"):
         return builder.build_boolean(n, op, known)
-    if flavour == "bounded" and f.bound < n - 1:
+    if f.bound is not None and f.bound < n - 1:
         return builder.build_bounded(n, op, f.bound, known_side, known)
     return builder.build_unbounded(n, op, known_side, known)
 

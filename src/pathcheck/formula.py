@@ -1,17 +1,24 @@
 """Formula AST, concrete syntax, and structural transforms.
 
-Temporal operators come in future/past pairs: Until/Release look forward,
-Since/Trigger look backward. Each has a bounded variant that only scans a
-window of at most `bound` steps away from the current position. The unary
-steps are Next/Yesterday (strong: the neighbour position must exist) and
-WeakNext/WeakYesterday (weak: true at the trace edge).
+Every node is an `Atom(name)`, a `Unary(child)` or a `Binary(left, right)`;
+the concrete classes below differ only in their names. Temporal operators
+come in future/past pairs: Until/Release look forward, Since/Trigger look
+backward. Their `bound` is None for the unbounded operator and a natural b
+for the bounded one, which only scans a window of at most b steps away from
+the current position. The unary steps are Next/Yesterday (strong: the
+neighbour position must exist) and WeakNext/WeakYesterday (weak: true at
+the trace edge).
+
+Nothing here recurses: the transforms are folds over an explicit stack
+(`fold`), and `parse` is one loop over an operator stack, so the nesting
+depth of a formula is limited only by the size of its text.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Callable, Optional, TypeVar
 
 from .errors import FormulaError, ParseError
 
@@ -20,6 +27,8 @@ FALSE_NAME = "_false"
 RESERVED_NAMES = frozenset({TRUE_NAME, FALSE_NAME})
 
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+
+V = TypeVar("V")
 
 
 class Formula:
@@ -34,110 +43,92 @@ class Atom(Formula):
 
 
 @dataclass(frozen=True)
-class Not(Formula):
+class Unary(Formula):
     child: Formula
 
 
 @dataclass(frozen=True)
-class And(Formula):
+class Binary(Formula):
     left: Formula
     right: Formula
+    bound = None  # only the temporal operators have a window
 
 
 @dataclass(frozen=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
+class Temporal(Binary):
+    bound: Optional[int] = None  # None: unbounded
 
 
-@dataclass(frozen=True)
-class Next(Formula):
-    child: Formula
-
-
-@dataclass(frozen=True)
-class WeakNext(Formula):
-    child: Formula
-
-
-@dataclass(frozen=True)
-class Yesterday(Formula):
-    child: Formula
-
-
-@dataclass(frozen=True)
-class WeakYesterday(Formula):
-    child: Formula
-
-
-@dataclass(frozen=True)
-class Until(Formula):
-    left: Formula
-    right: Formula
-
-
-@dataclass(frozen=True)
-class Release(Formula):
-    left: Formula
-    right: Formula
-
-
-@dataclass(frozen=True)
-class Since(Formula):
-    left: Formula
-    right: Formula
-
-
-@dataclass(frozen=True)
-class Trigger(Formula):
-    left: Formula
-    right: Formula
-
-
-@dataclass(frozen=True)
-class BoundedUntil(Formula):
-    left: Formula
-    right: Formula
-    bound: int
-
-
-@dataclass(frozen=True)
-class BoundedRelease(Formula):
-    left: Formula
-    right: Formula
-    bound: int
-
-
-@dataclass(frozen=True)
-class BoundedSince(Formula):
-    left: Formula
-    right: Formula
-    bound: int
-
-
-@dataclass(frozen=True)
-class BoundedTrigger(Formula):
-    left: Formula
-    right: Formula
-    bound: int
+class Not(Unary): pass
+class Next(Unary): pass
+class WeakNext(Unary): pass
+class Yesterday(Unary): pass
+class WeakYesterday(Unary): pass
+class And(Binary): pass
+class Or(Binary): pass
+class Until(Temporal): pass
+class Release(Temporal): pass
+class Since(Temporal): pass
+class Trigger(Temporal): pass
 
 
 UNARY_TEMPORAL = (Next, WeakNext, Yesterday, WeakYesterday)
-UNBOUNDED_BINARY = (Until, Release, Since, Trigger)
-BOUNDED_BINARY = (BoundedUntil, BoundedRelease, BoundedSince, BoundedTrigger)
-BINARY_TEMPORAL = UNBOUNDED_BINARY + BOUNDED_BINARY
+BINARY_TEMPORAL = (Until, Release, Since, Trigger)
 
-_UNARY_TOKEN = {Next: "X", WeakNext: "wX", Yesterday: "Y", WeakYesterday: "wY"}
-_BINARY_TOKEN = {
-    Until: "U",
-    Release: "R",
-    Since: "S",
-    Trigger: "T",
-    BoundedUntil: "U",
-    BoundedRelease: "R",
-    BoundedSince: "S",
-    BoundedTrigger: "T",
+TOKENS = {
+    Not: "!", And: "&", Or: "|",
+    Next: "X", WeakNext: "wX", Yesterday: "Y", WeakYesterday: "wY",
+    Until: "U", Release: "R", Since: "S", Trigger: "T",
 }
+
+
+def fold(
+    f: Formula,
+    atom: Callable[[Atom, bool], V],
+    unary: Callable[[Unary, V, bool], V],
+    binary: Callable[[Binary, V, V, bool], V],
+) -> V:
+    """Post-order fold over an explicit stack, so any depth works.
+
+    Children first, every node is replaced by atom(node, neg),
+    unary(node, child_value, neg) or binary(node, left_value, right_value,
+    neg), where `neg` is the node's polarity: the parity of the Not nodes
+    above it.
+    """
+    order = []  # preorder; reversed, every node comes after its children
+    todo = [(f, False)]
+    while todo:
+        item = todo.pop()
+        order.append(item)
+        node, neg = item
+        if isinstance(node, Binary):
+            todo.append((node.right, neg))
+            todo.append((node.left, neg))
+        elif isinstance(node, Unary):
+            todo.append((node.child, neg ^ (type(node) is Not)))
+    values = []
+    push, pop = values.append, values.pop
+    for node, neg in reversed(order):
+        if isinstance(node, Binary):
+            push(binary(node, pop(), pop(), neg))  # the left value is on top
+        elif isinstance(node, Unary):
+            push(unary(node, pop(), neg))
+        else:
+            push(atom(node, neg))
+    return values[0]
+
+
+def children(f: Formula) -> tuple[Formula, ...]:
+    """The operands of a node, left to right."""
+    if isinstance(f, Binary):
+        return (f.left, f.right)
+    if isinstance(f, Unary):
+        return (f.child,)
+    return ()
+
+
+def _binary(cls: type, left: Formula, right: Formula, bound: Optional[int]) -> Binary:
+    return cls(left, right) if bound is None else cls(left, right, bound)
 
 
 def is_literal(f: Formula) -> bool:
@@ -154,258 +145,194 @@ def literal_parts(f: Formula) -> tuple[str, bool]:
     raise FormulaError(f"not a literal: {format_formula(f)}")
 
 
+def _format_binary(node: Binary, left: str, right: str, neg: bool) -> str:
+    tok = TOKENS[type(node)]
+    if node.bound is not None:
+        tok = f"{tok}[{node.bound}]"
+    return f"({left} {tok} {right})"
+
+
 def format_formula(f: Formula) -> str:
     """Concrete syntax with explicit parentheses around every operator."""
-    if isinstance(f, Atom):
-        return f.name
-    if isinstance(f, Not):
-        return f"(! {format_formula(f.child)})"
-    if isinstance(f, And):
-        return f"({format_formula(f.left)} & {format_formula(f.right)})"
-    if isinstance(f, Or):
-        return f"({format_formula(f.left)} | {format_formula(f.right)})"
-    if isinstance(f, UNARY_TEMPORAL):
-        return f"({_UNARY_TOKEN[type(f)]} {format_formula(f.child)})"
-    if isinstance(f, UNBOUNDED_BINARY):
-        tok = _BINARY_TOKEN[type(f)]
-        return f"({format_formula(f.left)} {tok} {format_formula(f.right)})"
-    if isinstance(f, BOUNDED_BINARY):
-        tok = f"{_BINARY_TOKEN[type(f)]}[{f.bound}]"
-        return f"({format_formula(f.left)} {tok} {format_formula(f.right)})"
-    raise FormulaError(f"unknown formula node {f!r}")
+    return fold(
+        f,
+        lambda node, neg: node.name,
+        lambda node, child, neg: f"({TOKENS[type(node)]} {child})",
+        _format_binary,
+    )
 
 
 # --- parsing ---------------------------------------------------------------
 
-# One alternative matches at every offset: a token, a newline, a run of
-# blanks, or (last) any other character, which is an error.
+# Every character is part of a token or of a run of blanks (no group) once
+# _BAD_RE has found no other character.
 _TOKEN_RE = re.compile(
-    r"(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<nat>[0-9]+)|(?P<punct>[!&|()\[\]])"
-    r"|(?P<newline>\n)|[ \t\r]+|(?P<bad>.)",
-    re.DOTALL,
+    r"(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<nat>[0-9]+)|(?P<punct>[!&|()\[\]])|[ \t\r\n]+"
 )
+_BAD_RE = re.compile(r"[^A-Za-z0-9_!&|()\[\] \t\r\n]")
 
-_UNARY_KEYWORDS = {"X": Next, "wX": WeakNext, "Y": Yesterday, "wY": WeakYesterday}
-_BINARY_KEYWORDS = {
-    "U": (Until, BoundedUntil),
-    "R": (Release, BoundedRelease),
-    "S": (Since, BoundedSince),
-    "T": (Trigger, BoundedTrigger),
+# Operator-stack entries are (precedence, class, bound). Prefix operators
+# bind tightest, then & over |, then the temporal binaries; every binary
+# associates to the right. An open parenthesis is precedence 0.
+_UNARY_PREC = 5
+_SUGAR_PREC = 4
+_OPEN = (0, None, None)
+_PREFIX = {"!": Not, "X": Next, "wX": WeakNext, "Y": Yesterday, "wY": WeakYesterday}
+_INFIX = {
+    "&": (3, And), "|": (2, Or),
+    "U": (1, Until), "R": (1, Release), "S": (1, Since), "T": (1, Trigger),
 }
-# F/G/O/H are sugar over the binary operators with a constant left operand.
-_SUGAR_KEYWORDS = {
-    "F": (TRUE_NAME, Until, BoundedUntil),
-    "G": (FALSE_NAME, Release, BoundedRelease),
-    "O": (TRUE_NAME, Since, BoundedSince),
-    "H": (FALSE_NAME, Trigger, BoundedTrigger),
+# F/G/O/H are sugar over the temporal binaries with a constant left operand.
+_SUGAR = {
+    "F": (TRUE_NAME, Until), "G": (FALSE_NAME, Release),
+    "O": (TRUE_NAME, Since), "H": (FALSE_NAME, Trigger),
 }
+_CONSTANTS = {"true": TRUE_NAME, "false": FALSE_NAME}
+
+# What the loop expects next: an operand; an operand, after an operator
+# that may or must not take a bound; the bound's natural; its "]"; or, once
+# an operand is complete, a binary operator, ")" or the end.
+_OPERAND, _MAY_BOUND, _NO_BOUND, _NAT, _CLOSE, _AFTER = range(6)
 
 
-class _Token(NamedTuple):
-    kind: str  # "ident", "nat", "eof", or the punctuation character itself
-    text: str
-    line: int
-    col: int
+def _error(text: str, offset: int, message: str) -> ParseError:
+    line = text.count("\n", 0, offset) + 1
+    return ParseError(message, line, offset - text.rfind("\n", 0, offset))
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    line, start = 1, 0  # start: offset of the current line's first character
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind is None:  # blanks
-            continue
-        if kind == "newline":
-            line += 1
-            start = m.end()
-            continue
-        tok = m.group()
-        col = m.start() - start + 1
-        if kind == "bad":
-            raise ParseError(f"unexpected character {tok!r}", line, col)
-        tokens.append(_Token(tok if kind == "punct" else kind, tok, line, col))
-    tokens.append(_Token("eof", "", line, len(text) - start + 1))
-    return tokens
-
-
-class _Parser:
-    """Recursive descent over the precedence chain
-    unary > & > | > binary temporal, with right-associative binaries."""
-
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            shown = tok.text if tok.kind != "eof" else "end of input"
-            raise ParseError(f"expected {kind!r}, got {shown!r}", tok.line, tok.col)
-        return self.advance()
-
-    def parse_temporal(self) -> Formula:
-        left = self.parse_or()
-        tok = self.peek()
-        if tok.kind == "ident" and tok.text in _BINARY_KEYWORDS:
-            self.advance()
-            plain, bounded = _BINARY_KEYWORDS[tok.text]
-            bound = self.maybe_bound()
-            right = self.parse_temporal()
-            if bound is None:
-                return plain(left, right)
-            return bounded(left, right, bound)
-        return left
-
-    def parse_or(self) -> Formula:
-        left = self.parse_and()
-        if self.peek().kind == "|":
-            self.advance()
-            return Or(left, self.parse_or())
-        return left
-
-    def parse_and(self) -> Formula:
-        left = self.parse_unary()
-        if self.peek().kind == "&":
-            self.advance()
-            return And(left, self.parse_and())
-        return left
-
-    def parse_unary(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "!":
-            self.advance()
-            return Not(self.parse_unary())
-        if tok.kind == "(":
-            self.advance()
-            inner = self.parse_temporal()
-            self.expect(")")
-            return inner
-        if tok.kind == "ident":
-            self.advance()
-            if tok.text in _UNARY_KEYWORDS:
-                nxt = self.peek()
-                if nxt.kind == "[":
-                    raise ParseError(
-                        f"operator {tok.text} does not take a bound", nxt.line, nxt.col
-                    )
-                return _UNARY_KEYWORDS[tok.text](self.parse_unary())
-            if tok.text in _SUGAR_KEYWORDS:
-                base, plain, bounded = _SUGAR_KEYWORDS[tok.text]
-                bound = self.maybe_bound()
-                child = self.parse_unary()
-                if bound is None:
-                    return plain(Atom(base), child)
-                return bounded(Atom(base), child, bound)
-            if tok.text == "true":
-                return Atom(TRUE_NAME)
-            if tok.text == "false":
-                return Atom(FALSE_NAME)
-            if tok.text in _BINARY_KEYWORDS:
-                raise ParseError(
-                    f"keyword {tok.text!r} cannot be used as a proposition",
-                    tok.line,
-                    tok.col,
-                )
-            return Atom(tok.text)
-        shown = tok.text if tok.kind != "eof" else "end of input"
-        raise ParseError(f"expected a formula, got {shown!r}", tok.line, tok.col)
-
-    def maybe_bound(self) -> Optional[int]:
-        if self.peek().kind != "[":
-            return None
-        self.advance()
-        tok = self.peek()
-        if tok.kind != "nat":
-            shown = tok.text if tok.kind != "eof" else "end of input"
-            raise ParseError(f"bound must be a decimal natural, got {shown!r}", tok.line, tok.col)
-        self.advance()
-        self.expect("]")
-        return int(tok.text)
+def _reduce(operands: list[Formula], ops: list[tuple], prec: int) -> None:
+    """Apply every stacked operator that binds tighter than `prec`."""
+    while ops[-1][0] > prec:
+        p, cls, bound = ops.pop()
+        if p == _UNARY_PREC:
+            operands[-1] = cls(operands[-1])
+        else:
+            right = operands.pop()
+            operands[-1] = _binary(cls, operands[-1], right, bound)
 
 
 def parse(text: str) -> Formula:
     """Parse concrete syntax into an AST.
 
-    Raises ParseError (with 1-based line:col) on malformed input.
+    Raises ParseError (with 1-based line:col) on malformed input; a
+    character outside the syntax is reported before any other error.
     """
-    parser = _Parser(_tokenize(text))
-    f = parser.parse_temporal()
-    tok = parser.peek()
-    if tok.kind != "eof":
-        raise ParseError(
-            f"expected a binary operator or end of input, got {tok.text!r}",
-            tok.line,
-            tok.col,
-        )
-    return f
+    bad = _BAD_RE.search(text)
+    if bad is not None:
+        raise _error(text, bad.start(), f"unexpected character {bad.group()!r}")
+    operands: list[Formula] = []
+    ops = [_OPEN]  # the whole text is one group
+    depth = 0  # open parentheses
+    state = _OPERAND
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind is None:
+            continue
+        tok = m.group()
+        if state == _AFTER:
+            if tok in _INFIX:
+                prec, cls = _INFIX[tok]
+                _reduce(operands, ops, prec)
+                ops.append((prec, cls, None))
+                state = _MAY_BOUND if prec == 1 else _OPERAND
+            elif tok == ")" and depth:
+                _reduce(operands, ops, 0)
+                ops.pop()
+                depth -= 1
+            elif depth:
+                raise _error(text, m.start(), f"expected ')', got {tok!r}")
+            else:
+                raise _error(
+                    text, m.start(), f"expected a binary operator or end of input, got {tok!r}"
+                )
+            continue
+        if state == _NAT:
+            if kind != "nat":
+                raise _error(text, m.start(), f"bound must be a decimal natural, got {tok!r}")
+            prec, cls, _ = ops[-1]
+            ops[-1] = (prec, cls, int(tok))
+            state = _CLOSE
+            continue
+        if state == _CLOSE:
+            if tok != "]":
+                raise _error(text, m.start(), f"expected ']', got {tok!r}")
+            state = _OPERAND
+            continue
+        if tok == "[" and state != _OPERAND:
+            if state == _NO_BOUND:
+                raise _error(text, m.start(), f"operator {TOKENS[ops[-1][1]]} does not take a bound")
+            state = _NAT
+            continue
+        state = _OPERAND
+        if tok in _PREFIX:
+            ops.append((_UNARY_PREC, _PREFIX[tok], None))
+            if kind == "ident":
+                state = _NO_BOUND
+        elif tok == "(":
+            ops.append(_OPEN)
+            depth += 1
+        elif tok in _SUGAR:
+            base, cls = _SUGAR[tok]
+            operands.append(Atom(base))
+            ops.append((_SUGAR_PREC, cls, None))
+            state = _MAY_BOUND
+        elif kind != "ident":
+            raise _error(text, m.start(), f"expected a formula, got {tok!r}")
+        elif tok in _INFIX:
+            raise _error(text, m.start(), f"keyword {tok!r} cannot be used as a proposition")
+        else:
+            operands.append(Atom(_CONSTANTS.get(tok, tok)))
+            state = _AFTER
+    if state == _AFTER and not depth:
+        _reduce(operands, ops, 0)
+        return operands[0]
+    expected = {_AFTER: "expected ')'", _NAT: "bound must be a decimal natural", _CLOSE: "expected ']'"}
+    raise _error(text, len(text), f"{expected.get(state, 'expected a formula')}, got 'end of input'")
 
 
 # --- transforms ------------------------------------------------------------
 
-_DUAL_UNARY = {Next: WeakNext, WeakNext: Next, Yesterday: WeakYesterday, WeakYesterday: Yesterday}
-_DUAL_BINARY = {
-    Until: Release,
-    Release: Until,
-    Since: Trigger,
-    Trigger: Since,
-    BoundedUntil: BoundedRelease,
-    BoundedRelease: BoundedUntil,
-    BoundedSince: BoundedTrigger,
-    BoundedTrigger: BoundedSince,
+_DUAL = {
+    And: Or, Or: And,
+    Next: WeakNext, WeakNext: Next, Yesterday: WeakYesterday, WeakYesterday: Yesterday,
+    Until: Release, Release: Until, Since: Trigger, Trigger: Since,
 }
+
+
+def _pnf_unary(node: Unary, child: Formula, neg: bool) -> Formula:
+    cls = type(node)
+    if cls is Not:
+        return child
+    if neg:
+        return _DUAL[cls](child)
+    return node if child is node.child else cls(child)
+
+
+def _pnf_binary(node: Binary, left: Formula, right: Formula, neg: bool) -> Formula:
+    if neg:
+        return _binary(_DUAL[type(node)], left, right, node.bound)
+    if left is node.left and right is node.right:
+        return node
+    return _binary(type(node), left, right, node.bound)
 
 
 def to_pnf(f: Formula) -> Formula:
     """Positive normal form: negation pushed down to atoms.
 
     Negating a temporal operator swaps it with its dual and negates both
-    operands; bounds carry over unchanged.
+    operands; bounds carry over unchanged. Unchanged subtrees are shared.
     """
-    return _pnf(f, False)
-
-
-def _pnf(f: Formula, neg: bool) -> Formula:
-    if isinstance(f, Atom):
-        return Not(f) if neg else f
-    if isinstance(f, Not):
-        return _pnf(f.child, not neg)
-    if isinstance(f, And):
-        cls = Or if neg else And
-        return cls(_pnf(f.left, neg), _pnf(f.right, neg))
-    if isinstance(f, Or):
-        cls = And if neg else Or
-        return cls(_pnf(f.left, neg), _pnf(f.right, neg))
-    if isinstance(f, UNARY_TEMPORAL):
-        cls = _DUAL_UNARY[type(f)] if neg else type(f)
-        return cls(_pnf(f.child, neg))
-    if isinstance(f, UNBOUNDED_BINARY):
-        cls = _DUAL_BINARY[type(f)] if neg else type(f)
-        return cls(_pnf(f.left, neg), _pnf(f.right, neg))
-    if isinstance(f, BOUNDED_BINARY):
-        cls = _DUAL_BINARY[type(f)] if neg else type(f)
-        return cls(_pnf(f.left, neg), _pnf(f.right, neg), f.bound)
-    raise FormulaError(f"unknown formula node {f!r}")
+    return fold(f, lambda node, neg: Not(node) if neg else node, _pnf_unary, _pnf_binary)
 
 
 def is_pnf(f: Formula) -> bool:
     """True when negation only occurs directly on atoms."""
-    if isinstance(f, Atom):
-        return True
-    if isinstance(f, Not):
-        return isinstance(f.child, Atom)
-    if isinstance(f, UNARY_TEMPORAL):
-        return is_pnf(f.child)
-    if isinstance(f, (And, Or) + BINARY_TEMPORAL):
-        return is_pnf(f.left) and is_pnf(f.right)
-    raise FormulaError(f"unknown formula node {f!r}")
+    return fold(
+        f,
+        lambda node, neg: True,
+        lambda node, child, neg: type(node.child) is Atom if type(node) is Not else child,
+        lambda node, left, right, neg: left and right,
+    )
 
 
 def prune_bounds(f: Formula, n: int) -> Formula:
@@ -413,32 +340,39 @@ def prune_bounds(f: Formula, n: int) -> Formula:
     than n steps, so semantics over length-n traces are unchanged."""
     if n < 1:
         raise FormulaError("trace length must be at least 1")
-    if isinstance(f, Atom):
-        return f
-    if isinstance(f, Not):
-        return Not(prune_bounds(f.child, n))
-    if isinstance(f, UNARY_TEMPORAL):
-        return type(f)(prune_bounds(f.child, n))
-    if isinstance(f, (And, Or) + UNBOUNDED_BINARY):
-        return type(f)(prune_bounds(f.left, n), prune_bounds(f.right, n))
-    if isinstance(f, BOUNDED_BINARY):
-        return type(f)(prune_bounds(f.left, n), prune_bounds(f.right, n), min(f.bound, n))
-    raise FormulaError(f"unknown formula node {f!r}")
+
+    def binary(node: Binary, left: Formula, right: Formula, neg: bool) -> Formula:
+        bound = node.bound
+        if bound is not None and bound > n:
+            bound = n
+        elif left is node.left and right is node.right:
+            return node
+        return _binary(type(node), left, right, bound)
+
+    def unary(node: Unary, child: Formula, neg: bool) -> Formula:
+        return node if child is node.child else type(node)(child)
+
+    return fold(f, lambda node, neg: node, unary, binary)
 
 
 def size(f: Formula) -> int:
     """Node count, with a bounded operator counting as 1 + its bound."""
-    if isinstance(f, Atom):
-        return 1
-    if isinstance(f, Not):
-        return 1 + size(f.child)
-    if isinstance(f, UNARY_TEMPORAL):
-        return 1 + size(f.child)
-    if isinstance(f, (And, Or) + UNBOUNDED_BINARY):
-        return 1 + size(f.left) + size(f.right)
-    if isinstance(f, BOUNDED_BINARY):
-        return 1 + f.bound + size(f.left) + size(f.right)
-    raise FormulaError(f"unknown formula node {f!r}")
+    return fold(
+        f,
+        lambda node, neg: 1,
+        lambda node, child, neg: 1 + child,
+        lambda node, left, right, neg: 1 + left + right + (0 if node.bound is None else node.bound),
+    )
+
+
+def atom_names(f: Formula) -> set[str]:
+    """Every proposition name the formula mentions (reserved ones included)."""
+    return fold(
+        f,
+        lambda node, neg: {node.name},
+        lambda node, child, neg: child,
+        lambda node, left, right, neg: left | right,
+    )
 
 
 @dataclass(frozen=True)
@@ -455,39 +389,21 @@ def subformula_occurrences(f: Formula) -> list[Occurrence]:
     """Preorder list of occurrences of a PNF formula.
 
     Literals (atoms and negated atoms) are not descended into, so the leaves
-    of the returned tree are exactly the literals.
+    of the returned tree are exactly the literals. A negation over anything
+    but an atom raises FormulaError.
     """
-    if not is_pnf(f):
-        raise FormulaError("formula must be in positive normal form")
     out: list[Occurrence] = []
-
-    def walk(node: Formula, parent: Optional[int], slot: Optional[str]) -> None:
+    todo: list[tuple[Formula, Optional[int], Optional[str]]] = [(f, None, None)]
+    while todo:
+        node, parent, slot = todo.pop()
         idx = len(out)
         out.append(Occurrence(idx, node, parent, slot))
-        if is_literal(node):
-            return
-        if isinstance(node, UNARY_TEMPORAL):
-            walk(node.child, idx, "child")
-        else:
-            walk(node.left, idx, "left")
-            walk(node.right, idx, "right")
-
-    walk(f, None, None)
-    return out
-
-
-def atom_names(f: Formula) -> set[str]:
-    """Every proposition name the formula mentions (reserved ones included)."""
-    out: set[str] = set()
-
-    def walk(node: Formula) -> None:
-        if isinstance(node, Atom):
-            out.add(node.name)
-        elif isinstance(node, Not) or isinstance(node, UNARY_TEMPORAL):
-            walk(node.child)
-        else:
-            walk(node.left)
-            walk(node.right)
-
-    walk(f)
+        if isinstance(node, Binary):
+            todo.append((node.right, idx, "right"))
+            todo.append((node.left, idx, "left"))
+        elif type(node) is Not:
+            if type(node.child) is not Atom:
+                raise FormulaError("formula must be in positive normal form")
+        elif isinstance(node, Unary):
+            todo.append((node.child, idx, "child"))
     return out

@@ -2,17 +2,19 @@
 
 This module is the reference oracle the circuit engine is tested against.
 Every operator is decided from the positions its quantifiers range over;
-there are no recurrences, no normal forms, and no shared code with the
-circuit pipeline.
+there are no recurrences, no normal forms, and no code shared with the
+circuit pipeline beyond the formula tree and its walk.
 
-`holds_at` is the literal recursive reading of the satisfaction relation.
-`eval_seq` computes the same thing for all positions at once with numpy, by
-a first-witness comparison over next/previous-occurrence arrays, O(n) per
-operator: `l U[b] r` holds at i iff the first j >= i with r[j] exists, lies
-within i + b, and comes no later than the first j >= i where l fails (if the
-first witness is blocked or out of reach, so is every later one). Since is
-the mirror image, and Release and Trigger are the exact duals over the same
-window. It exists because the literal recursion is exponential in formula
+`holds_at` is the literal recursive reading of the satisfaction relation,
+kept as the referee: it recurses once per nesting level, so it suits small
+formulas only. `eval_seq` computes the same thing for all positions at once
+with numpy, children first over `formula.fold` (an explicit stack, so any
+depth works), by a first-witness comparison over next/previous-occurrence
+arrays, O(n) per operator: `l U[b] r` holds at i iff the first j >= i with
+r[j] exists, lies within i + b, and comes no later than the first j >= i
+where l fails (if the first witness is blocked or out of reach, so is every
+later one). Since is the mirror image, and Release and Trigger are the exact
+duals over the same window. It exists because the literal recursion is exponential in formula
 depth while differential campaigns need tens of thousands of runs. The two
 are property-tested against each other. `eval_array` hands over the same
 bits as a read-only numpy array.
@@ -28,10 +30,6 @@ from .formula import (
     TRUE_NAME,
     And,
     Atom,
-    BoundedRelease,
-    BoundedSince,
-    BoundedTrigger,
-    BoundedUntil,
     Formula,
     Next,
     Not,
@@ -43,6 +41,7 @@ from .formula import (
     WeakNext,
     WeakYesterday,
     Yesterday,
+    fold,
 )
 from .trace import Trace
 
@@ -58,8 +57,8 @@ def _atom_holds(trace: Trace, name: str, i: int) -> bool:
 
 
 def holds_at(trace: Trace, f: Formula, i: int) -> bool:
-    """Does the trace satisfy f at position i? Literal recursion; only
-    suitable for small formulas and short traces."""
+    """Does the trace satisfy f at position i? Literal recursion, one level
+    per nesting level; only suitable for small formulas and short traces."""
     n = len(trace)
     if not 0 <= i < n:
         raise ValueError(f"position {i} outside trace of length {n}")
@@ -79,29 +78,29 @@ def holds_at(trace: Trace, f: Formula, i: int) -> bool:
         return i - 1 >= 0 and holds_at(trace, f.child, i - 1)
     if isinstance(f, WeakYesterday):
         return i - 1 < 0 or holds_at(trace, f.child, i - 1)
-    if isinstance(f, (Until, BoundedUntil)):
-        hi = n - 1 if isinstance(f, Until) else min(i + f.bound, n - 1)
+    if isinstance(f, Until):
+        hi = n - 1 if f.bound is None else min(i + f.bound, n - 1)
         return any(
             holds_at(trace, f.right, j)
             and all(holds_at(trace, f.left, k) for k in range(i, j))
             for j in range(i, hi + 1)
         )
-    if isinstance(f, (Release, BoundedRelease)):
-        hi = n - 1 if isinstance(f, Release) else min(i + f.bound, n - 1)
+    if isinstance(f, Release):
+        hi = n - 1 if f.bound is None else min(i + f.bound, n - 1)
         return all(
             holds_at(trace, f.right, j)
             or any(holds_at(trace, f.left, k) for k in range(i, j))
             for j in range(i, hi + 1)
         )
-    if isinstance(f, (Since, BoundedSince)):
-        lo = 0 if isinstance(f, Since) else max(i - f.bound, 0)
+    if isinstance(f, Since):
+        lo = 0 if f.bound is None else max(i - f.bound, 0)
         return any(
             holds_at(trace, f.right, j)
             and all(holds_at(trace, f.left, k) for k in range(j + 1, i + 1))
             for j in range(lo, i + 1)
         )
-    if isinstance(f, (Trigger, BoundedTrigger)):
-        lo = 0 if isinstance(f, Trigger) else max(i - f.bound, 0)
+    if isinstance(f, Trigger):
+        lo = 0 if f.bound is None else max(i - f.bound, 0)
         return all(
             holds_at(trace, f.right, j)
             or any(holds_at(trace, f.left, k) for k in range(j + 1, i + 1))
@@ -124,43 +123,42 @@ def eval_array(trace: Trace, f: Formula) -> np.ndarray:
 
 def _seq(trace: Trace, f: Formula) -> np.ndarray:
     n = len(trace)
-    if isinstance(f, Atom):
-        if f.name == TRUE_NAME:
+
+    def atom(node: Atom, neg: bool) -> np.ndarray:
+        if node.name == TRUE_NAME:
             return np.ones(n, dtype=bool)
-        if f.name == FALSE_NAME:
+        if node.name == FALSE_NAME:
             return np.zeros(n, dtype=bool)
-        if f.name not in trace.alphabet:
+        if node.name not in trace.alphabet:
             raise UnknownProposition(
-                f"proposition {f.name!r} is not in the trace alphabet"
+                f"proposition {node.name!r} is not in the trace alphabet"
             )
-        return trace.columns[trace.alphabet.index(f.name)]
-    if isinstance(f, Not):
-        return ~_seq(trace, f.child)
-    if isinstance(f, And):
-        return _seq(trace, f.left) & _seq(trace, f.right)
-    if isinstance(f, Or):
-        return _seq(trace, f.left) | _seq(trace, f.right)
-    if isinstance(f, (Next, WeakNext)):
-        pad = isinstance(f, WeakNext)
-        child = _seq(trace, f.child)
-        return np.concatenate((child[1:], np.array([pad], dtype=bool)))
-    if isinstance(f, (Yesterday, WeakYesterday)):
-        pad = isinstance(f, WeakYesterday)
-        child = _seq(trace, f.child)
-        return np.concatenate((np.array([pad], dtype=bool), child[:-1]))
-    if isinstance(f, (Until, BoundedUntil)):
-        b = n if isinstance(f, Until) else min(f.bound, n)
-        return _until(_seq(trace, f.left), _seq(trace, f.right), b)
-    if isinstance(f, (Release, BoundedRelease)):  # l R[b] r == !(!l U[b] !r)
-        b = n if isinstance(f, Release) else min(f.bound, n)
-        return ~_until(~_seq(trace, f.left), ~_seq(trace, f.right), b)
-    if isinstance(f, (Since, BoundedSince)):
-        b = n if isinstance(f, Since) else min(f.bound, n)
-        return _since(_seq(trace, f.left), _seq(trace, f.right), b)
-    if isinstance(f, (Trigger, BoundedTrigger)):  # l T[b] r == !(!l S[b] !r)
-        b = n if isinstance(f, Trigger) else min(f.bound, n)
-        return ~_since(~_seq(trace, f.left), ~_seq(trace, f.right), b)
-    raise TypeError(f"unknown formula node {f!r}")
+        return trace.columns[trace.alphabet.index(node.name)]
+
+    def unary(node: Formula, child: np.ndarray, neg: bool) -> np.ndarray:
+        cls = type(node)
+        if cls is Not:
+            return ~child
+        if cls is Next or cls is WeakNext:
+            return np.concatenate((child[1:], np.array([cls is WeakNext], dtype=bool)))
+        return np.concatenate((np.array([cls is WeakYesterday], dtype=bool), child[:-1]))
+
+    def binary(node: Formula, left: np.ndarray, right: np.ndarray, neg: bool) -> np.ndarray:
+        cls = type(node)
+        if cls is And:
+            return left & right
+        if cls is Or:
+            return left | right
+        b = n if node.bound is None else min(node.bound, n)
+        if cls is Until:
+            return _until(left, right, b)
+        if cls is Release:  # l R[b] r == !(!l U[b] !r)
+            return ~_until(~left, ~right, b)
+        if cls is Since:
+            return _since(left, right, b)
+        return ~_since(~left, ~right, b)  # Trigger: l T[b] r == !(!l S[b] !r)
+
+    return fold(f, atom, unary, binary)
 
 
 def next_true(a: np.ndarray) -> np.ndarray:

@@ -28,10 +28,6 @@ from pathcheck.contraction import ContractionRecord, check, contract_step, init_
 from pathcheck.formula import (
     And,
     Atom,
-    BoundedRelease,
-    BoundedSince,
-    BoundedTrigger,
-    BoundedUntil,
     Next,
     Not,
     Or,
@@ -142,10 +138,10 @@ def test_c4_expansion_laws():
         ("T", Trigger, lambda l, r, f: And(r, Or(l, WeakYesterday(f)))),
     ]
     bounded = [
-        ("U[b]", BoundedUntil, lambda l, r, g: Or(r, And(l, Next(g)))),
-        ("R[b]", BoundedRelease, lambda l, r, g: And(r, Or(l, WeakNext(g)))),
-        ("S[b]", BoundedSince, lambda l, r, g: Or(r, And(l, Yesterday(g)))),
-        ("T[b]", BoundedTrigger, lambda l, r, g: And(r, Or(l, WeakYesterday(g)))),
+        ("U[b]", Until, lambda l, r, g: Or(r, And(l, Next(g)))),
+        ("R[b]", Release, lambda l, r, g: And(r, Or(l, WeakNext(g)))),
+        ("S[b]", Since, lambda l, r, g: Or(r, And(l, Yesterday(g)))),
+        ("T[b]", Trigger, lambda l, r, g: And(r, Or(l, WeakYesterday(g)))),
     ]
     try:
         for name, cls, expand in unbounded:

@@ -12,7 +12,8 @@ from pathcheck import cli
 from pathcheck.cli import main
 from pathcheck.contraction import check
 from pathcheck.formula import parse
-from pathcheck.trace import Trace, to_csv
+from pathcheck.semantics import eval_seq
+from pathcheck.trace import Trace, load_trace, to_csv
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -128,15 +129,23 @@ class TestCheck:
         assert rc == 2
         capsys.readouterr()
 
-    @pytest.mark.parametrize("text", ["X " * 3000 + "a", " U ".join(["a"] * 2000)])
-    def test_deeply_nested_exit_2(self, tmp_path, sat_trace, capsys, text):
+    @pytest.mark.parametrize(
+        "text,want",
+        [("X " * 3000 + "a", 1), (" U ".join(["a"] * 2000), 0)],
+        ids=["next_3000", "until_2000"],
+    )
+    def test_deeply_nested_decided(self, tmp_path, sat_trace, capsys, text, want):
+        # nesting depth is bounded by the input size only: the verdict is
+        # the oracle's
         f = tmp_path / "deep.ltl"
         f.write_text(text)
+        oracle = eval_seq(load_trace(Path(sat_trace).read_text()), parse(text))
+        assert want == (0 if oracle[0] else 1)
         rc = main(["check", "--formula-file", str(f), "--trace", sat_trace])
-        err = capsys.readouterr().err
-        assert rc == 2
-        assert "error: formula nested too deeply" in err
-        assert "Traceback" not in err
+        out, err = capsys.readouterr()
+        assert rc == want
+        assert out.splitlines()[0] == ("SATISFIED" if want == 0 else "VIOLATED")
+        assert err == ""
 
     def test_unknown_atom_exit_2(self, sat_trace, capsys):
         rc = main(["check", "--formula", "zz", "--trace", sat_trace])
@@ -307,6 +316,35 @@ class TestLoaderFuzz:
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 rc = main(["check", "--formula", "(a U b) | Y a", "--trace", str(tf),
                            "--format", fmt, "--engine", engine])
+        assert rc in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        assert (rc == 2) == err.getvalue().startswith("error: ")
+
+
+# Formula text from operator tokens, brackets, digits, blanks and stray
+# characters, or any text at all.
+_FORMULA_TEXT = st.one_of(
+    st.lists(
+        st.sampled_from(["a", "b", "zz", "true", "false", "!", "&", "|", "U", "R", "S", "T",
+                         "F", "G", "O", "H", "X", "wX", "Y", "wY", "(", ")", "[", "]",
+                         "0", "2", "17", " ", "\n", "\t", "\r", "$", "\u00e9"]),
+        max_size=40,
+    ).map("".join),
+    st.text(max_size=40),
+)
+
+
+class TestFormulaFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(text=_FORMULA_TEXT, engine=st.sampled_from(["circuit", "naive"]))
+    def test_arbitrary_formula_text(self, text, engine):
+        with tempfile.TemporaryDirectory() as tmp:
+            tf = Path(tmp) / "t.csv"
+            tf.write_text("a,b\n1,0\n1,0\n0,1\n")
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = main(["check", f"--formula={text}", "--trace", str(tf),
+                           "--engine", engine])
         assert rc in (0, 1, 2)
         assert "Traceback" not in err.getvalue()
         assert (rc == 2) == err.getvalue().startswith("error: ")

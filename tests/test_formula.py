@@ -6,10 +6,6 @@ from pathcheck.errors import FormulaError, ParseError
 from pathcheck.formula import (
     And,
     Atom,
-    BoundedRelease,
-    BoundedSince,
-    BoundedTrigger,
-    BoundedUntil,
     FALSE_NAME,
     Next,
     Not,
@@ -54,7 +50,7 @@ def formulas(max_leaves=8):
         )
         bounded = st.builds(
             lambda k, l, r, b: k(l, r, b),
-            st.sampled_from([BoundedUntil, BoundedRelease, BoundedSince, BoundedTrigger]),
+            st.sampled_from([Until, Release, Since, Trigger]),
             children,
             children,
             st.integers(0, 9),
@@ -67,7 +63,7 @@ def formulas(max_leaves=8):
 class TestParse:
     def test_example_round_trip(self):
         f = parse("(a U[3] b) & ! c")
-        assert f == And(BoundedUntil(Atom("a"), Atom("b"), 3), Not(Atom("c")))
+        assert f == And(Until(Atom("a"), Atom("b"), 3), Not(Atom("c")))
         assert format_formula(f) == "((a U[3] b) & (! c))"
 
     def test_precedence_unary_tightest(self):
@@ -95,9 +91,9 @@ class TestParse:
         assert parse("a R b") == Release(Atom("a"), Atom("b"))
         assert parse("a S b") == Since(Atom("a"), Atom("b"))
         assert parse("a T b") == Trigger(Atom("a"), Atom("b"))
-        assert parse("a R[2] b") == BoundedRelease(Atom("a"), Atom("b"), 2)
-        assert parse("a S[0] b") == BoundedSince(Atom("a"), Atom("b"), 0)
-        assert parse("a T[10] b") == BoundedTrigger(Atom("a"), Atom("b"), 10)
+        assert parse("a R[2] b") == Release(Atom("a"), Atom("b"), 2)
+        assert parse("a S[0] b") == Since(Atom("a"), Atom("b"), 0)
+        assert parse("a T[10] b") == Trigger(Atom("a"), Atom("b"), 10)
 
     def test_unary_tokens(self):
         assert parse("wX a") == WeakNext(Atom("a"))
@@ -113,10 +109,10 @@ class TestParse:
         assert parse("G a") == Release(Atom(FALSE_NAME), Atom("a"))
         assert parse("O a") == Since(Atom(TRUE_NAME), Atom("a"))
         assert parse("H a") == Trigger(Atom(FALSE_NAME), Atom("a"))
-        assert parse("F[4] a") == BoundedUntil(Atom(TRUE_NAME), Atom("a"), 4)
-        assert parse("G[0] a") == BoundedRelease(Atom(FALSE_NAME), Atom("a"), 0)
-        assert parse("O[2] a") == BoundedSince(Atom(TRUE_NAME), Atom("a"), 2)
-        assert parse("H[7] a") == BoundedTrigger(Atom(FALSE_NAME), Atom("a"), 7)
+        assert parse("F[4] a") == Until(Atom(TRUE_NAME), Atom("a"), 4)
+        assert parse("G[0] a") == Release(Atom(FALSE_NAME), Atom("a"), 0)
+        assert parse("O[2] a") == Since(Atom(TRUE_NAME), Atom("a"), 2)
+        assert parse("H[7] a") == Trigger(Atom(FALSE_NAME), Atom("a"), 7)
 
     def test_keywords_not_atoms(self):
         # a formula that is just "U" is a missing operand, not an atom
@@ -148,6 +144,22 @@ class TestParse:
         assert exc.value.col == col
         assert f"{line}:{col}:" in str(exc.value)
 
+    @pytest.mark.parametrize("op", ["U", "R", "S", "T"])
+    def test_bound_zero_is_not_unbounded(self, op):
+        assert parse(f"a {op}[0] b") != parse(f"a {op} b")
+        assert parse(f"a {op}[0] b").bound == 0
+        assert parse(f"a {op} b").bound is None
+
+    @pytest.mark.parametrize("bound", [None, 0, 7])
+    @pytest.mark.parametrize("cls,tok", [(Until, "U"), (Release, "R"), (Since, "S"), (Trigger, "T")])
+    def test_temporal_round_trip(self, cls, tok, bound):
+        f = cls(Atom("a"), Atom("b"), bound)
+        text = f"(a {tok} b)" if bound is None else f"(a {tok}[{bound}] b)"
+        assert format_formula(f) == text
+        assert parse(text) == f
+        if bound is None:
+            assert f == cls(Atom("a"), Atom("b"))
+
     def test_nested_parens(self):
         assert parse("((((a))))") == Atom("a")
 
@@ -162,12 +174,16 @@ class TestPnf:
         assert to_pnf(parse("! (a U b)")) == Release(Not(Atom("a")), Not(Atom("b")))
 
     def test_bounded_duality_keeps_bound(self):
-        assert to_pnf(parse("! (a U[5] b)")) == BoundedRelease(
+        assert to_pnf(parse("! (a U[5] b)")) == Release(
             Not(Atom("a")), Not(Atom("b")), 5
         )
-        assert to_pnf(parse("! (a T[2] b)")) == BoundedSince(
+        assert to_pnf(parse("! (a T[2] b)")) == Since(
             Not(Atom("a")), Not(Atom("b")), 2
         )
+
+    def test_duality_keeps_unbounded_and_zero_apart(self):
+        assert to_pnf(parse("! (a U b)")).bound is None
+        assert to_pnf(parse("! (a U[0] b)")).bound == 0
 
     def test_unary_duality(self):
         assert to_pnf(parse("! X a")) == WeakNext(Not(Atom("a")))
@@ -194,7 +210,7 @@ class TestPnf:
 
 class TestPrune:
     def test_example(self):
-        assert prune_bounds(parse("a U[9] b"), 2) == BoundedUntil(Atom("a"), Atom("b"), 2)
+        assert prune_bounds(parse("a U[9] b"), 2) == Until(Atom("a"), Atom("b"), 2)
 
     def test_no_change_when_small(self):
         f = parse("a U[2] b")
@@ -204,6 +220,13 @@ class TestPrune:
         f = parse("(a S[7] b) | X (a R[9] b)")
         g = prune_bounds(f, 3)
         assert g == parse("(a S[3] b) | X (a R[3] b)")
+
+    def test_unbounded_stays_unbounded(self):
+        f = parse("(a U b) & (c S[0] d)")
+        g = prune_bounds(f, 1)
+        assert g == f
+        assert g.left.bound is None
+        assert g.right.bound == 0
 
     def test_rejects_empty_trace_length(self):
         with pytest.raises(FormulaError):
@@ -225,6 +248,12 @@ class TestSize:
 
     def test_bounded_zero(self):
         assert size(parse("a U[0] b")) == 3
+
+    @pytest.mark.parametrize("cls", [Until, Release, Since, Trigger])
+    def test_unbounded_counts_one(self, cls):
+        assert size(cls(Atom("a"), Atom("b"))) == 3
+        assert size(cls(Atom("a"), Atom("b"), None)) == 3
+        assert size(cls(Atom("a"), Atom("b"), 7)) == 10
 
 
 class TestOccurrences:

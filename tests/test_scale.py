@@ -1,5 +1,6 @@
 """Correctness at scale: both engines agree on traces of 10^4 and 10^5
-states, also with bounds near n, and the oracle's memory stays linear in n."""
+states, also with bounds near n, the oracle's memory stays linear in n, and
+formulas nested 10^4 deep parse and check on both engines."""
 
 import tracemalloc
 
@@ -82,3 +83,23 @@ def test_oracle_memory_is_linear():
     finally:
         tracemalloc.stop()
     assert peak < 64 * n, f"peak {peak / n:.1f} bytes per position"
+
+
+DEPTH = 10_000
+# name -> (formula text nested DEPTH deep, its sequence as a function of a's)
+DEEP = {
+    "parentheses": ("(" * DEPTH + "a" + ")" * DEPTH, lambda a: a),
+    "negations": ("! " * (DEPTH + 1) + "a", lambda a: ~a),
+    "nexts": ("X " * DEPTH + "a", lambda a: np.zeros_like(a)),  # past the end
+    "until_chain": (" U ".join(["a"] * DEPTH), lambda a: a),  # a U a == a
+    "bounded_until_chain": (" U[2] ".join(["a"] * DEPTH), lambda a: a),
+}
+
+
+@pytest.mark.parametrize("engine", ["circuit", "naive"])
+@pytest.mark.parametrize("name", sorted(DEEP))
+def test_deep_nesting(name, engine):
+    text, expected = DEEP[name]
+    tr = Trace(np.array([[True, False, True, True]]), ("a",))
+    seq = check(parse(text), tr, engine=engine).sequence
+    assert np.array_equal(seq, expected(tr.columns[0]))

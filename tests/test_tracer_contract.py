@@ -11,19 +11,34 @@ import random
 from pathlib import Path
 
 import pathcheck
+import pathcheck.cli  # the tracer wraps names in it; importing pathcheck alone does not load it
 from pathcheck import builder, contraction, rows
-from pathcheck.formula import parse, prune_bounds, to_pnf
+from pathcheck.campaign import CampaignConfig, case_seed, random_formula
+from pathcheck.formula import (
+    Atom,
+    Binary,
+    BINARY_TEMPORAL,
+    Not,
+    TOKENS,
+    parse,
+    prune_bounds,
+    to_pnf,
+)
 
 from test_builder import random_trace
 
-TRACER = Path(__file__).resolve().parent.parent / "pathbench" / "tracer.py"
+PATHBENCH = Path(__file__).resolve().parent.parent / "pathbench"
 
 
-def load_tracer():
-    spec = importlib.util.spec_from_file_location("pathbench_tracer", TRACER)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"pathbench_{name}", PATHBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_tracer():
+    return _load("tracer")
 
 
 def test_wrapped_names_exist():
@@ -61,3 +76,50 @@ def test_builder_results_have_gates():
         builder.build_bounded(5, "U", 2, "right", known),
     ]
     assert [len(r.circuit) for r in results] == [5, 10, 10, 10, 10]
+
+
+# The campaign workload reads formulas by class name and fields only.
+A, B = ("ap", "a"), ("ap", "b")
+FROM_PROGRAM = {
+    "! a": ("not", A),
+    "a & b": ("and", A, B),
+    "a | b": ("or", A, B),
+    "X a": ("X", A),
+    "wX a": ("wX", A),
+    "Y a": ("Y", A),
+    "wY a": ("wY", A),
+    **{f"a {op} b": (op, A, B, None) for op in "URST"},
+    **{f"a {op}[3] b": (op, A, B, 3) for op in "URST"},
+    "a U[0] b": ("U", A, B, 0),
+    "F[2] true": ("U", ("tt",), ("tt",), 2),
+    "G false": ("R", ("ff",), ("ff",), None),
+}
+
+
+def _expected(f):
+    """The benchmark's tuple for a node, read by isinstance and fields."""
+    if isinstance(f, Atom):
+        return {"_true": ("tt",), "_false": ("ff",)}.get(f.name, ("ap", f.name))
+    if isinstance(f, Binary):
+        left, right = _expected(f.left), _expected(f.right)
+        if isinstance(f, BINARY_TEMPORAL):
+            return (TOKENS[type(f)], left, right, f.bound)
+        return ("and" if TOKENS[type(f)] == "&" else "or", left, right)
+    tag = "not" if isinstance(f, Not) else TOKENS[type(f)]
+    return (tag, _expected(f.child))
+
+
+def test_from_program_reads_every_operator():
+    ref = _load("reference")
+    for text, want in FROM_PROGRAM.items():
+        assert ref.from_program(parse(text)) == want, text
+
+
+def test_from_program_reads_campaign_formulas():
+    ref = _load("reference")
+    cfg = CampaignConfig()
+    for seed in range(200):
+        f = random_formula(random.Random(case_seed(seed, 0)), cfg.max_size, cfg.max_bound)
+        got = ref.from_program(f)
+        assert got == _expected(f)
+        assert parse(ref.render(got)) == f
