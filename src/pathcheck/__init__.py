@@ -35,22 +35,11 @@ from .formula import (
 )
 from .trace import Trace, atom_sequence, load_trace, make_trace, to_csv
 from .semantics import eval_seq, holds_at
-from .circuit import (
-    Circuit,
-    Transducer,
-    apply,
-    compose,
-    constant_circuit,
-    constants_are_sinks,
-    evaluate,
-    identity,
-    to_dot,
-)
-from .rows import Label, compose_evaluated
+from .circuit import Circuit, to_dot
+from .rows import Label, apply, compose_evaluated, identity
 from .builder import (
     build_boolean,
     build_bounded,
-    build_literal,
     build_shift,
     build_unbounded,
 )

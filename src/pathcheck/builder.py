@@ -125,7 +125,8 @@ def build_bounded(n: int, op: str, bound: int, known_side: str, known) -> Label:
     grid row `bound` and the output as grid row 0, cell (i, j) is gate
     (bound - j) * n + i of the gate view, where each ID column points
     straight at its variable. With bound = 0 the operator degenerates to
-    its right operand and the grid is the identity.
+    its right operand and the grid is the identity. A bound above n builds
+    as bound n.
     """
     if op not in BINARY_OPS:
         raise BuildError(f"unknown binary operator {op!r}")
@@ -134,6 +135,7 @@ def build_bounded(n: int, op: str, bound: int, known_side: str, known) -> Label:
     if bound < 0:
         raise BuildError("bound must be non-negative")
     known = _known(n, known)
+    bound = min(bound, n)  # as in prune_bounds: a window never uses more than n steps
     exists = op in ("U", "S")
     step = 1 if op in FUTURE_OPS else -1
     at = positions(n)

@@ -172,11 +172,17 @@ def run_campaign(
     t0 = time.perf_counter()
     if processes < 1:
         raise PathcheckError("processes must be at least 1")
-    spans = _spans(cfg.cases, processes)
-    jobs = [(cfg, start, stop) for start, stop in spans]
-    if processes > 1 and cfg.cases > 1:
+    if cfg.cases < 1:
+        raise PathcheckError("cases must be at least 1")
+    if cfg.max_len < 1:
+        raise PathcheckError("max_len must be at least 1")
+    if cfg.max_bound < 0:
+        raise PathcheckError("max_bound must be non-negative")
+    jobs = [(cfg, start, stop) for start, stop in _spans(cfg.cases, processes)]
+    workers = min(processes, len(jobs))
+    if workers > 1:
         ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(processes) as pool:
+        with ctx.Pool(workers) as pool:
             parts = pool.map(_run_range, jobs)
     else:
         parts = [_run_range(job) for job in jobs]

@@ -26,7 +26,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import builder
-from .circuit import constants_are_sinks, validate
 from .errors import ContractionError, TraceError
 from .formula import (
     TOKENS,
@@ -41,7 +40,7 @@ from .formula import (
     subformula_occurrences,
     to_pnf,
 )
-from .rows import Label, apply, compose_evaluated, identity
+from .rows import Label, apply, compose_evaluated, identity, is_evaluated
 from .trace import Trace, atom_sequence, require_known
 
 ROOT = -1
@@ -341,8 +340,9 @@ def verify_tree(tree: ContractionTree) -> None:
 
     Structure: ROOT has one child, inner nodes two, every parent/slot/child
     pointer agrees, leaves are exactly the literal nodes and carry numbers.
-    Labels: every edge holds an n -> n label whose gate view is valid
-    (inputs exactly its variable gates, acyclic) with constants only at sinks.
+    Labels: every edge holds an n -> n row label that is evaluated
+    (`rows.is_evaluated`: well-formed rows, no cell reading a constant),
+    checked on the rows without building a gate view.
     Semantics: feeding a node's own sequence through its edge label yields
     the sequence of the subformula the edge stands for.
     """
@@ -385,8 +385,7 @@ def verify_tree(tree: ContractionTree) -> None:
             raise ContractionError(f"edge to {v} has no label")
         if label.arity_in != n or label.arity_out != n:
             raise ContractionError(f"edge to {v} is not an n->n transducer")
-        validate(label)
-        if not constants_are_sinks(label.circuit):
+        if not is_evaluated(label):
             raise ContractionError(f"edge to {v} is not evaluated")
         child_seq = eval_seq(tree.trace, tree.node_formula[v])
         want = eval_seq(tree.trace, tree.edge_formula[v])

@@ -18,9 +18,6 @@ from pathcheck.circuit import (
     G_OR,
     G_TRUE,
     Transducer,
-    apply,
-    compose,
-    constants_are_sinks,
     evaluate,
     to_dot,
 )
@@ -47,6 +44,7 @@ from pathcheck.rows import compose_evaluated
 from pathcheck.semantics import eval_seq
 from pathcheck.trace import make_trace
 
+from gates import apply, compose, constants_are_sinks
 from helpers import random_builder_label, random_label, shuffle_plans, truth_table
 
 FULL_CFG = CampaignConfig(cases=10_000, max_size=20, max_len=50, max_bound=10, seed=0)

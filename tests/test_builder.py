@@ -9,20 +9,13 @@ from pathcheck.builder import (
     build_shift,
     build_unbounded,
 )
-from pathcheck.circuit import (
-    G_AND,
-    G_FALSE,
-    G_TRUE,
-    apply,
-    constants_are_sinks,
-    evaluate,
-    validate,
-)
+from pathcheck.circuit import G_AND, G_FALSE, G_TRUE, evaluate
 from pathcheck.errors import BuildError
 from pathcheck.formula import parse
 from pathcheck.semantics import eval_seq
 from pathcheck.trace import atom_sequence, load_trace, make_trace
 
+from gates import apply, constants_are_sinks, validate
 from helpers import random_bits
 
 

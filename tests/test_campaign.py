@@ -1,3 +1,5 @@
+import dataclasses
+import multiprocessing
 import random
 
 import pytest
@@ -148,9 +150,35 @@ class TestRunCampaign:
         result = run_campaign(CampaignConfig(cases=3, max_size=6, max_len=6, seed=1))
         assert sorted(i for _, i in result.slowest) == [0, 1, 2]
 
-    def test_rejects_bad_processes(self):
-        with pytest.raises(PathcheckError, match="processes"):
-            run_campaign(SMALL, processes=0)
+    @pytest.mark.parametrize(
+        "changes,processes,match",
+        [
+            ({}, 0, "processes"),
+            ({"cases": 0}, 1, "cases"),
+            ({"cases": -3}, 1, "cases"),
+            ({"max_len": 0}, 2, "max_len"),
+            ({"max_bound": -1}, 2, "max_bound"),
+        ],
+        ids=["processes", "no-cases", "negative-cases", "max-len", "max-bound"],
+    )
+    def test_rejects_bad_config(self, changes, processes, match):
+        with pytest.raises(PathcheckError, match=match):
+            run_campaign(dataclasses.replace(SMALL, **changes), processes=processes)
+
+    def test_pool_no_larger_than_jobs(self, monkeypatch):
+        fork = multiprocessing.get_context("fork")
+        sizes = []
+
+        class Recording:
+            def Pool(self, processes):
+                sizes.append(processes)
+                return fork.Pool(processes)
+
+        monkeypatch.setattr(campaign.multiprocessing, "get_context", lambda method: Recording())
+        cfg = CampaignConfig(cases=2, max_size=6, max_len=6, seed=4)
+        pooled = run_campaign(cfg, processes=4)
+        assert sizes == [2]
+        assert pooled.digest == run_campaign(cfg, processes=1).digest
 
     def test_failure_reported(self, monkeypatch):
         # force the engine to lie about one specific case

@@ -11,17 +11,13 @@ from pathcheck.circuit import (
     G_VAR,
     Circuit,
     Transducer,
-    apply,
-    compose,
     constant_circuit,
-    constants_are_sinks,
     evaluate,
-    identity,
     to_dot,
-    validate,
 )
 from pathcheck.errors import CircuitError
 
+from gates import apply, compose, constants_are_sinks, identity, validate
 from helpers import random_bits, random_evaluated_transducer, truth_table
 
 

@@ -245,6 +245,16 @@ class TestDot:
         assert rc == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_builder_bound_above_n_builds_as_n(self, side, capsys):
+        # a window never uses more than n steps: a 10^20 bound neither
+        # overflows nor allocates 10^20 rows
+        seq = ["--side", side, "--seq", "0,1"]
+        assert main(["dot", "--op", "U[2]"] + seq) == 0
+        want = capsys.readouterr().out
+        assert main(["dot", "--op", f"U[{10 ** 20}]"] + seq) == 0
+        assert capsys.readouterr().out == want
+
     def test_full_run_writes_stage_files(self, tmp_path, sat_trace, capsys):
         outdir = tmp_path / "stages"
         rc = main(["dot", "--formula", "(a U b) & (b S a)",
@@ -383,6 +393,18 @@ class TestSelftest:
         second = capsys.readouterr().out
         digest = [ln for ln in first.splitlines() if "digest:" in ln]
         assert digest == [ln for ln in second.splitlines() if "digest:" in ln]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--cases", "0"], ["--cases", "-3"], ["--max-len", "0"], ["--max-bound", "-1"]],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_bad_config_exit_2(self, argv, capsys):
+        rc = main(["selftest", "--cases", "4", "--processes", "2"] + argv)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
 
     def test_fault_injection_fails_with_counterexample(self, capsys, monkeypatch):
         # reroute Until chains through Release: the campaign must notice,

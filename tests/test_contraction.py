@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from pathcheck import builder, contraction, rows
-from pathcheck.circuit import G_VAR, apply, constants_are_sinks, is_identity
+from pathcheck.circuit import G_VAR
 from pathcheck.contraction import (
     ROOT,
     CheckResult,
@@ -26,7 +26,8 @@ from pathcheck.formula import parse, prune_bounds, to_pnf
 from pathcheck.semantics import eval_seq
 from pathcheck.trace import Trace, make_trace
 
-from helpers import shuffle_plans, truth_table
+from gates import apply, constants_are_sinks, is_identity
+from helpers import random_builder_label, shuffle_plans, truth_table
 from test_builder import random_trace
 from test_formula import formulas
 from test_semantics import bits_trace, traces
@@ -310,6 +311,45 @@ class TestRunContraction:
         nodes = set(t.node_formula)
         run_contraction(t)
         assert set(t.node_formula) == nodes
+
+
+class TestVerifyTreeLabels:
+    """verify_tree checks evaluatedness on the rows, not on a gate view."""
+
+    def test_rejects_unfolded_stack(self):
+        rng = random.Random(77)
+        rejected = 0
+        for _ in range(200):
+            n = rng.randrange(1, 9)
+            tr = random_trace(rng, n)
+            t = init_tree(prune_bounds(to_pnf(parse("X (a U b) & Y (b S[2] a)")), n), tr)
+            first, second = random_builder_label(rng, n), random_builder_label(rng, n)
+            stacked = rows.Label(n, first.rows + second.rows)
+            if constants_are_sinks(stacked.circuit):
+                continue  # evaluated as stacked; the gate referee says so
+            v = rng.choice(sorted(t.labels))
+            t.labels[v] = stacked
+            with pytest.raises(ContractionError, match=f"edge to {v} is not evaluated"):
+                verify_tree(t)
+            rejected += 1
+        assert rejected > 50
+
+    def test_no_gate_view_built(self, monkeypatch):
+        def refuse(label):
+            raise AssertionError("verify_tree built a gate view")
+
+        monkeypatch.setattr(rows, "_flatten", refuse)
+        rng = random.Random(78)
+        tr = random_trace(rng, 12, names=("a", "b", "c"))
+        f = prune_bounds(to_pnf(parse("(a U[2] b) & (X (c S a) | (b R[3] X c))")), 12)
+        stages = []
+
+        def verify(t, stage):
+            verify_tree(t)
+            stages.append(stage)
+
+        run_contraction(init_tree(f, tr), on_stage=verify)
+        assert stages == [0, 1, 2, 3]
 
 
 class TestRawRowUnderShift:

@@ -1,0 +1,35 @@
+"""The package's import graph, read from the sources with `ast`."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "pathcheck"
+
+
+def imported_modules(name: str) -> set[str]:
+    """The pathcheck modules that `name` imports, at any nesting depth."""
+    found = set()
+    for node in ast.walk(ast.parse((SRC / f"{name}.py").read_text())):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = "pathcheck" if node.level else ""
+            module = ".".join(p for p in (base, node.module) if p)
+            # `from . import x` and `from pathcheck import x` name modules
+            modules = [f"{module}.{a.name}" for a in node.names] if module == "pathcheck" else [module]
+        else:
+            continue
+        found.update(m.split(".")[1] for m in modules if m.startswith("pathcheck."))
+    return found
+
+
+def test_reader_sees_relative_imports():
+    assert {"builder", "rows", "semantics"} <= imported_modules("contraction")
+
+
+def test_oracle_shares_no_code_with_the_circuit_pipeline():
+    assert imported_modules("semantics") <= {"formula", "trace", "errors"}
+
+
+def test_contraction_checks_rows_without_the_gate_view():
+    assert "circuit" not in imported_modules("contraction")

@@ -12,26 +12,25 @@ from pathcheck.builder import (
     build_shift,
     build_unbounded,
 )
-from pathcheck.circuit import (
-    Transducer,
-    apply as gate_apply,
-    compose,
-    constants_are_sinks,
-    evaluate,
-    validate,
-)
+from pathcheck.circuit import Transducer, evaluate
 from pathcheck.errors import CircuitError
 from pathcheck.rows import (
+    AND,
+    CHAIN_OR,
     COPY,
+    ID,
+    OR,
     TRUE,
     Label,
     Row,
     apply,
     compose_evaluated,
     identity,
+    is_evaluated,
     positions,
 )
 
+from gates import apply as gate_apply, compose, constants_are_sinks, validate
 from helpers import random_bits, random_builder_label, random_label, truth_table
 
 
@@ -39,6 +38,7 @@ def assert_row_invariant(label):
     """No cell reads a constant, and every chain ends inside its row."""
     assert constants_are_sinks(label.circuit)
     validate(label)
+    assert is_evaluated(label)
     for row in label.rows:
         if row.top >= COPY:
             assert row.d in (1, -1)
@@ -107,6 +107,77 @@ class TestComposeEvaluated:
     def test_arity_mismatch(self):
         with pytest.raises(CircuitError, match="arity"):
             compose_evaluated(identity(1), identity(2))
+
+
+def gates_say_evaluated(label):
+    """The gate-level referee's verdict on the label's gate view."""
+    validate(label)
+    return constants_are_sinks(label.circuit)
+
+
+class TestIsEvaluated:
+    def test_matches_gate_referee(self):
+        rng = random.Random(24)
+        verdicts = {True: 0, False: 0}
+        for _ in range(6000):
+            n = rng.randrange(1, 13)
+            pick = rng.randrange(3)
+            if pick == 0:
+                label = random_label(rng, n)
+            elif pick == 1:
+                label = random_builder_label(rng, n)  # may be a raw row
+            else:  # two builder results stacked without folding the seam
+                first, second = random_builder_label(rng, n), random_builder_label(rng, n)
+                label = Label(n, first.rows + second.rows)
+            verdict = is_evaluated(label)
+            assert verdict == gates_say_evaluated(label)
+            verdicts[verdict] += 1
+        assert min(verdicts.values()) > 1000
+
+    def test_identity_is_evaluated(self):
+        assert is_evaluated(identity(4))
+
+    @staticmethod
+    def chain_row(kind, d=1, a=None):
+        kind = np.array(kind, dtype=np.uint8)
+        return Row(kind, np.arange(len(kind)) if a is None else np.array(a), d=d)
+
+    def test_reads_constant_below(self):
+        # the row below holds a constant at 0
+        const = Row(np.array([TRUE, ID, ID], dtype=np.uint8), np.arange(3))
+
+        def above(kind, a, b):
+            row = Row(np.array(kind, dtype=np.uint8), np.array(a), np.array(b), d=1)
+            return is_evaluated(Label(3, (const, row)))
+
+        assert not above([ID, ID, ID], [0, 1, 2], [1, 1, 2])  # through a
+        assert not above([CHAIN_OR, ID, ID], [0, 1, 2], [1, 1, 2])
+        assert not above([ID, ID, AND], [1, 1, 2], [1, 1, 0])  # through AND's b
+        assert above([ID, ID, ID], [1, 1, 2], [0, 0, 0])  # an ID's b is unused
+        assert above([AND, ID, OR], [1, 1, 2], [2, 1, 1])
+
+    def test_operand_out_of_range(self):
+        assert is_evaluated(Label(3, (self.chain_row([ID, ID, ID], d=0, a=[2, 1, 0]),)))
+        assert not is_evaluated(Label(3, (self.chain_row([ID, ID, ID], d=0, a=[3, 1, 0]),)))
+        assert not is_evaluated(Label(3, (self.chain_row([ID, ID, ID], d=0, a=[-1, 1, 0]),)))
+
+    def test_row_width(self):
+        assert not is_evaluated(Label(4, (self.chain_row([ID, ID, ID], d=0),)))
+
+    def test_chain_direction(self):
+        assert is_evaluated(Label(3, (self.chain_row([CHAIN_OR, COPY, ID], d=1),)))
+        assert not is_evaluated(Label(3, (self.chain_row([CHAIN_OR, COPY, ID], d=0),)))
+        assert not is_evaluated(Label(3, (self.chain_row([CHAIN_OR, COPY, ID], d=2),)))
+
+    def test_chain_far_end(self):
+        assert not is_evaluated(Label(3, (self.chain_row([ID, COPY, CHAIN_OR], d=1),)))
+        assert is_evaluated(Label(3, (self.chain_row([ID, COPY, CHAIN_OR], d=-1),)))
+        assert not is_evaluated(Label(3, (self.chain_row([CHAIN_OR, COPY, ID], d=-1),)))
+
+    def test_chain_neighbour_constant(self):
+        assert not is_evaluated(Label(3, (self.chain_row([CHAIN_OR, TRUE, ID], d=1),)))
+        assert not is_evaluated(Label(3, (self.chain_row([ID, TRUE, COPY], d=-1),)))
+        assert is_evaluated(Label(3, (self.chain_row([TRUE, CHAIN_OR, ID], d=1),)))
 
 
 def skewed_bits(rng, n):
