@@ -30,7 +30,6 @@ from .formula import (
     parse,
     prune_bounds,
     size,
-    subformula_occurrences,
     to_pnf,
 )
 from .trace import Trace, atom_sequence, load_trace, make_trace, to_csv

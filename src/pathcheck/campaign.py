@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import math
 import multiprocessing
+import os
 import random
 import time
 from dataclasses import dataclass, field
@@ -38,6 +39,7 @@ from .trace import Trace, to_csv
 
 ALPHABET = ("a", "b", "c", "d")
 SLOWEST = 5  # slowest cases a campaign reports
+KEEP_FAILURES = 10  # failing cases a campaign keeps in full
 
 _PLAIN_BINARY = (And, Or) + BINARY_TEMPORAL
 
@@ -165,11 +167,8 @@ def _run_range(args) -> tuple[bytes, list[CaseFailure], list[tuple[float, int]]]
     return b"".join(chunks), failures, sorted(times, reverse=True)[:SLOWEST]
 
 
-def run_campaign(
-    cfg: CampaignConfig, processes: int = 1, keep_failures: int = 10
-) -> CampaignResult:
-    """Run the whole campaign; results are independent of `processes`."""
-    t0 = time.perf_counter()
+def check_config(cfg: CampaignConfig, processes: int) -> None:
+    """Raise PathcheckError unless a campaign can run with these settings."""
     if processes < 1:
         raise PathcheckError("processes must be at least 1")
     if cfg.cases < 1:
@@ -178,8 +177,14 @@ def run_campaign(
         raise PathcheckError("max_len must be at least 1")
     if cfg.max_bound < 0:
         raise PathcheckError("max_bound must be non-negative")
+
+
+def run_campaign(cfg: CampaignConfig, processes: int = 1) -> CampaignResult:
+    """Run the whole campaign; results are independent of `processes`."""
+    t0 = time.perf_counter()
+    check_config(cfg, processes)
     jobs = [(cfg, start, stop) for start, stop in _spans(cfg.cases, processes)]
-    workers = min(processes, len(jobs))
+    workers = min(processes, len(jobs), os.cpu_count() or 1)
     if workers > 1:
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(workers) as pool:
@@ -190,7 +195,7 @@ def run_campaign(
     failures = [f for _, fs, _ in parts for f in fs]
     return CampaignResult(
         total=cfg.cases,
-        failures=failures[:keep_failures],
+        failures=failures[:KEEP_FAILURES],
         failure_count=len(failures),
         payload=payload,
         digest=hashlib.sha256(payload).hexdigest(),

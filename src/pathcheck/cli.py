@@ -20,11 +20,11 @@ from pathlib import Path as FsPath
 import numpy as np
 
 from . import builder as builder_mod
-from .campaign import CampaignConfig, minimize, run_campaign
+from .campaign import CampaignConfig, check_config, minimize, run_campaign
 from .circuit import dot_lines, to_dot
-from .contraction import ContractionRecord, ContractionTree, check, init_tree, run_contraction
+from .contraction import ContractionRecord, ContractionTree, check
 from .errors import BuildError, PathcheckError
-from .formula import format_formula, parse, prune_bounds, to_pnf
+from .formula import format_formula, parse
 from .rows import Label
 from .trace import load_trace, to_csv
 
@@ -228,11 +228,9 @@ def cmd_dot(args) -> int:
         path.write_text(_tree_dot(tree, stage))
         written.append(path)
 
-    g = prune_bounds(to_pnf(f), len(tr))
-    tree = init_tree(g, tr)
-    seq = run_contraction(tree, on_stage=dump)
+    result = check(f, tr, on_stage=dump)
     print(f"wrote {len(written)} stage files to {outdir}")
-    print("SATISFIED" if seq[0] else "VIOLATED")
+    print("SATISFIED" if result.satisfied else "VIOLATED")
     return 0
 
 
@@ -244,6 +242,7 @@ def cmd_selftest(args) -> int:
         max_bound=args.max_bound,
         seed=args.seed,
     )
+    check_config(cfg, args.processes)
     print(
         f"selftest: {cfg.cases} cases, max size {cfg.max_size}, max len {cfg.max_len}, "
         f"max bound {cfg.max_bound}, seed {cfg.seed}, {args.processes} processes"

@@ -26,7 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import builder
-from .errors import ContractionError, TraceError
+from .errors import ContractionError, FormulaError, TraceError
 from .formula import (
     TOKENS,
     UNARY_TEMPORAL,
@@ -37,7 +37,6 @@ from .formula import (
     is_literal,
     literal_parts,
     prune_bounds,
-    subformula_occurrences,
     to_pnf,
 )
 from .rows import Label, apply, compose_evaluated, identity, is_evaluated
@@ -48,12 +47,13 @@ ROOT = -1
 class ContractionTree:
     """Mutable contraction state over one trace.
 
-    Nodes are identified by their subformula-occurrence index in the PNF
-    formula; ROOT (-1) marks the region above the topmost node. `labels[v]`
-    is the row label on the edge from v's parent down to v, and
-    `edge_formula[v]` is the subformula whose sequence that edge must emit
-    when fed v's sequence (it differs from v's own formula exactly when the
-    edge swallowed unary operators, and is inherited when edges merge).
+    Nodes are identified by their preorder index in the PNF formula, unary
+    occurrences counted (`init_tree`); ROOT (-1) marks the region above the
+    topmost node. `labels[v]` is the row label on the edge from v's parent
+    down to v, and `edge_formula[v]` is the subformula whose sequence that
+    edge must emit when fed v's sequence (it differs from v's own formula
+    exactly when the edge swallowed unary operators, and is inherited when
+    edges merge).
     """
 
     __slots__ = (
@@ -101,80 +101,56 @@ class ContractionTree:
     def is_leaf(self, v: int) -> bool:
         return v not in self.children
 
-    def leaves_in_order(self) -> list[int]:
-        """Leaves left to right (iterative in-order walk)."""
-        out = []
-        stack = [self.top()]
-        while stack:
-            v = stack.pop()
-            ch = self.children.get(v)
-            if ch is None:
-                out.append(v)
-            else:
-                stack.extend(reversed(ch))
-        return out
-
 
 def init_tree(f: Formula, trace: Trace) -> ContractionTree:
-    """Build the initial tree for a PNF formula over a trace.
+    """Build the initial tree for a PNF formula over a trace in one preorder
+    walk; a negation over anything but an atom raises FormulaError.
 
-    Unary operators never become nodes: each maximal unary chain is composed
-    (innermost first) into the label of the edge to the first non-unary
-    subformula beneath it; shift rows fuse, so such a label stays one row.
-    Edges without unary operators keep the identity. Each distinct literal's
-    bit column is built once, as a bool array shared by its leaves.
+    Each node is numbered by its preorder index, unary occurrences counted.
+    Unary operators never become nodes: the walk carries each unary chain
+    down as nested (operator, rest) pairs, innermost first, and composes it,
+    innermost shift first, into the label of the edge to the first
+    non-unary subformula beneath it; shift rows fuse, so such a label stays
+    one row. Other edges keep the identity. Preorder reaches the leaves left
+    to right, so each is numbered when reached. Each distinct literal's bit
+    column is built once, as a bool array shared by its leaves.
     """
-    occs = subformula_occurrences(f)  # raises FormulaError unless PNF
     tree = ContractionTree(trace)
     n = tree.n
     ident = identity(n)
     columns: dict[tuple[str, bool], np.ndarray] = {}
-    unary_idx = {
-        o.index for o in occs if isinstance(o.formula, UNARY_TEMPORAL)
-    }
-    slot_index = {"left": 0, "right": 1, "child": 0, None: 0}
-    for occ in occs:
-        if occ.index in unary_idx:
+    tree.children[ROOT] = []
+    todo: list[tuple[Formula, int, Optional[tuple]]] = [(f, ROOT, None)]
+    node = -1
+    while todo:
+        g, parent, chain = todo.pop()
+        node += 1
+        if isinstance(g, UNARY_TEMPORAL):
+            todo.append((g.child, parent, (g, chain)))
             continue
-        node = occ.index
-        tree.node_formula[node] = occ.formula
-        # climb through any unary ancestors, composing their shifts
+        if not (isinstance(g, Binary) or is_literal(g)):
+            raise FormulaError("formula must be in positive normal form")
         label = ident
-        top_formula = occ.formula
-        p = occ.parent
-        slot = occ.slot
-        while p is not None and p in unary_idx:
-            u = occs[p].formula
-            # climbing outward: the shift just climbed must transform the
-            # sequence after everything already in the label, i.e. compose on
-            # the output side
+        tree.edge_formula[node] = g
+        while chain is not None:
+            # each shift climbed transforms what the label already emits
+            u, chain = chain
             label = compose_evaluated(label, builder.build_shift(n, TOKENS[type(u)]))
-            top_formula = u
-            slot = occs[p].slot
-            p = occs[p].parent
-        parent_node = ROOT if p is None else p
-        tree.parent[node] = parent_node
-        tree.slot[node] = slot_index[slot]
+            tree.edge_formula[node] = u
+        tree.node_formula[node] = g
         tree.labels[node] = label
-        tree.edge_formula[node] = top_formula
-        if is_literal(occ.formula):
-            key = literal_parts(occ.formula)
+        tree.parent[node] = parent
+        tree.slot[node] = len(tree.children[parent])  # left is reached first
+        tree.children[parent].append(node)
+        if isinstance(g, Binary):
+            tree.children[node] = []
+            todo += [(g.right, node, None), (g.left, node, None)]
+        else:
+            key = literal_parts(g)
             if key not in columns:
                 columns[key] = atom_sequence(trace, *key)
             tree.literal_bits[node] = columns[key]
-        else:
-            tree.children[node] = [-2, -2]
-    tree.children[ROOT] = [-2]
-    for occ in occs:
-        if occ.index in unary_idx:
-            continue
-        node = occ.index
-        tree.children[tree.parent[node]][tree.slot[node]] = node
-    for v, ch in tree.children.items():
-        if -2 in ch:
-            raise ContractionError(f"node {v} is missing a child")
-    for num, leaf in enumerate(tree.leaves_in_order()):
-        tree.leaf_numbers[leaf] = num
+            tree.leaf_numbers[node] = len(tree.leaf_numbers)
     return tree
 
 
@@ -339,7 +315,8 @@ def verify_tree(tree: ContractionTree) -> None:
     """Check the tree invariants; raises ContractionError on violation.
 
     Structure: ROOT has one child, inner nodes two, every parent/slot/child
-    pointer agrees, leaves are exactly the literal nodes and carry numbers.
+    pointer agrees, leaves are exactly the literal nodes and carry numbers
+    that increase from left to right.
     Labels: every edge holds an n -> n row label that is evaluated
     (`rows.is_evaluated`: well-formed rows, no cell reading a constant),
     checked on the rows without building a gate view.
@@ -353,6 +330,7 @@ def verify_tree(tree: ContractionTree) -> None:
         raise ContractionError("ROOT must have exactly one child")
     live = set(tree.node_formula)
     seen: set[int] = set()
+    last = -1  # the number of the leaf before, left to right
     stack = [tree.top()]
     while stack:
         v = stack.pop()
@@ -365,6 +343,9 @@ def verify_tree(tree: ContractionTree) -> None:
                 raise ContractionError(f"leaf {v} is not a literal")
             if v not in tree.leaf_numbers or v not in tree.literal_bits:
                 raise ContractionError(f"leaf {v} is missing its number or bits")
+            if tree.leaf_numbers[v] <= last:
+                raise ContractionError("leaf numbers do not increase from left to right")
+            last = tree.leaf_numbers[v]
         else:
             if len(ch) != 2:
                 raise ContractionError(f"inner node {v} must have two children")
@@ -373,12 +354,11 @@ def verify_tree(tree: ContractionTree) -> None:
             for idx, c in enumerate(ch):
                 if tree.parent.get(c) != v or tree.slot.get(c) != idx:
                     raise ContractionError(f"child pointers of {v} are inconsistent")
-                stack.append(c)
+            stack += reversed(ch)  # the left child is popped first
     if seen != live:
         raise ContractionError("tree does not reach every live node")
-    nums = list(tree.leaf_numbers.values())
-    if len(set(nums)) != len(nums):
-        raise ContractionError("leaf numbers are not distinct")
+    if set(tree.leaf_numbers) != seen - set(tree.children):
+        raise ContractionError("the numbered nodes are not the live leaves")
     for v in live:
         label = tree.labels.get(v)
         if label is None:
@@ -413,12 +393,14 @@ def check(
     trace: Trace,
     engine: str = "circuit",
     record: Optional[ContractionRecord] = None,
+    on_stage: Optional[Callable[[ContractionTree, int], None]] = None,
 ) -> CheckResult:
     """Decide whether the trace satisfies the formula (at position 0).
 
-    engine="circuit" runs the contraction pipeline on the pruned PNF of f;
-    engine="naive" evaluates the defining quantifiers directly. Both return
-    the full satisfaction sequence.
+    engine="circuit" runs the contraction pipeline on the pruned PNF of f,
+    passing `record` and `on_stage` to `run_contraction`; engine="naive"
+    evaluates the defining quantifiers directly. Both return the full
+    satisfaction sequence.
     """
     if len(trace) == 0:
         raise TraceError("cannot check an empty trace")
@@ -430,7 +412,7 @@ def check(
     elif engine == "circuit":
         g = prune_bounds(to_pnf(f), len(trace))
         tree = init_tree(g, trace)
-        seq = run_contraction(tree, record=record)
+        seq = run_contraction(tree, record=record, on_stage=on_stage)
     else:
         raise ContractionError(f"unknown engine {engine!r}")
     return CheckResult(bool(seq[0]), seq)

@@ -373,37 +373,3 @@ def atom_names(f: Formula) -> set[str]:
         lambda node, child, neg: child,
         lambda node, left, right, neg: left | right,
     )
-
-
-@dataclass(frozen=True)
-class Occurrence:
-    """One subformula occurrence in preorder; literals are leaves."""
-
-    index: int
-    formula: Formula
-    parent: Optional[int]  # occurrence index, None for the root
-    slot: Optional[str]  # "left"/"right"/"child", None for the root
-
-
-def subformula_occurrences(f: Formula) -> list[Occurrence]:
-    """Preorder list of occurrences of a PNF formula.
-
-    Literals (atoms and negated atoms) are not descended into, so the leaves
-    of the returned tree are exactly the literals. A negation over anything
-    but an atom raises FormulaError.
-    """
-    out: list[Occurrence] = []
-    todo: list[tuple[Formula, Optional[int], Optional[str]]] = [(f, None, None)]
-    while todo:
-        node, parent, slot = todo.pop()
-        idx = len(out)
-        out.append(Occurrence(idx, node, parent, slot))
-        if isinstance(node, Binary):
-            todo.append((node.right, idx, "right"))
-            todo.append((node.left, idx, "left"))
-        elif type(node) is Not:
-            if type(node.child) is not Atom:
-                raise FormulaError("formula must be in positive normal form")
-        elif isinstance(node, Unary):
-            todo.append((node.child, idx, "child"))
-    return out

@@ -1,5 +1,6 @@
 import dataclasses
 import multiprocessing
+import os
 import random
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from pathcheck import campaign
 from pathcheck.campaign import (
     ALPHABET,
+    KEEP_FAILURES,
     CampaignConfig,
     case_seed,
     minimize,
@@ -180,6 +182,24 @@ class TestRunCampaign:
         assert sizes == [2]
         assert pooled.digest == run_campaign(cfg, processes=1).digest
 
+    def test_pool_no_larger_than_cpu_count(self, monkeypatch):
+        fork = multiprocessing.get_context("fork")
+        sizes = []
+
+        class Recording:
+            def Pool(self, processes):
+                sizes.append(processes)
+                return fork.Pool(processes)
+
+        monkeypatch.setattr(campaign.multiprocessing, "get_context", lambda method: Recording())
+        cpus = os.cpu_count() or 1
+        processes = cpus + 2
+        cfg = CampaignConfig(cases=8 * processes, max_size=6, max_len=6, seed=4)
+        assert len(_spans(cfg.cases, processes)) > cpus  # enough jobs for every process
+        pooled = run_campaign(cfg, processes=processes)
+        assert sizes == ([cpus] if cpus > 1 else [])
+        assert pooled.digest == run_campaign(cfg, processes=1).digest
+
     def test_failure_reported(self, monkeypatch):
         # force the engine to lie about one specific case
         real_check = campaign.check
@@ -213,11 +233,9 @@ class TestRunCampaign:
         monkeypatch.setattr(
             campaign, "check", lambda *a, **k: (_ for _ in ()).throw(RuntimeError())
         )
-        result = run_campaign(
-            CampaignConfig(cases=30, max_size=6, max_len=6, seed=1), keep_failures=4
-        )
+        result = run_campaign(CampaignConfig(cases=30, max_size=6, max_len=6, seed=1))
         assert result.failure_count == 30
-        assert len(result.failures) == 4
+        assert len(result.failures) == KEEP_FAILURES
 
 
 class TestSpans:

@@ -299,6 +299,17 @@ class TestDot:
             assert rc == 2
             assert f"error: {bad}: not valid UTF-8 at byte offset 2" in capsys.readouterr().err
 
+    def test_full_run_unknown_atom_exit_2_as_check(self, tmp_path, sat_trace, capsys):
+        outdir = tmp_path / "stages"
+        assert main(["check", "--formula", "a U zz", "--trace", sat_trace]) == 2
+        want = capsys.readouterr().err
+        rc = main(["dot", "--formula", "a U zz", "--trace", sat_trace,
+                   "--emit-dot", str(outdir)])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert err == want and err.startswith("error: ") and "zz" in err
+        assert out == "" and list(outdir.iterdir()) == []
+
     def test_full_run_needs_directory(self, sat_trace, capsys):
         rc = main(["dot", "--formula", "a", "--trace", sat_trace])
         assert rc == 2
@@ -401,8 +412,9 @@ class TestSelftest:
     )
     def test_bad_config_exit_2(self, argv, capsys):
         rc = main(["selftest", "--cases", "4", "--processes", "2"] + argv)
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert rc == 2
+        assert out == ""
         assert err.startswith("error: ")
         assert "Traceback" not in err
 

@@ -22,7 +22,7 @@ from pathcheck.errors import (
     TraceError,
     UnknownProposition,
 )
-from pathcheck.formula import parse, prune_bounds, to_pnf
+from pathcheck.formula import Binary, is_literal, parse, prune_bounds, to_pnf
 from pathcheck.semantics import eval_seq
 from pathcheck.trace import Trace, make_trace
 
@@ -40,6 +40,30 @@ def small_trace(n=4):
     return random_trace(rng, n, names=("a", "b", "c", "d", "e"))
 
 
+def leaves_left_to_right(t):
+    """The live leaves in the order of their numbers."""
+    return sorted(t.leaf_numbers, key=t.leaf_numbers.__getitem__)
+
+
+def preorder_ids(f):
+    """(id, subformula) of every node a contraction tree has, by a plain
+    preorder count of the formula's occurrences, unary ones included and
+    literals not descended into."""
+    out = []
+    todo = [f]
+    count = 0
+    while todo:
+        g = todo.pop()
+        if is_literal(g) or isinstance(g, Binary):
+            out.append((count, g))
+        count += 1
+        if isinstance(g, Binary):
+            todo += [g.right, g.left]
+        elif not is_literal(g):
+            todo.append(g.child)
+    return out
+
+
 def is_identity_label(label, n):
     c = label.circuit
     return (
@@ -53,13 +77,13 @@ class TestInitTree:
     def test_structure(self):
         tr = small_trace()
         t = init_tree(parse("(a U b) & c"), tr)
-        # preorder occurrence indices: 0 And, 1 Until, 2 a, 3 b, 4 c
+        # preorder indices: 0 And, 1 Until, 2 a, 3 b, 4 c
         assert t.children[ROOT] == [0]
         assert t.children[0] == [1, 4]
         assert t.children[1] == [2, 3]
         assert t.is_leaf(2) and t.is_leaf(3) and t.is_leaf(4)
         assert not t.is_leaf(0) and not t.is_leaf(1)
-        assert t.leaves_in_order() == [2, 3, 4]
+        assert leaves_left_to_right(t) == [2, 3, 4]
         assert t.leaf_numbers == {2: 0, 3: 1, 4: 2}
         assert t.parent[1] == 0 and t.slot[1] == 0
         assert t.parent[4] == 0 and t.slot[4] == 1
@@ -117,7 +141,7 @@ class TestInitTree:
     def test_literal_leaves(self):
         tr = bits_trace(a="01")
         t = init_tree(parse("(! a) U a"), tr)
-        leaves = t.leaves_in_order()
+        leaves = leaves_left_to_right(t)
         assert t.literal_bits[leaves[0]].tolist() == [True, False]
         assert t.literal_bits[leaves[1]].tolist() == [False, True]
 
@@ -136,6 +160,28 @@ class TestInitTree:
             if v != ROOT:
                 assert len(ch) == 2
 
+    def test_rejects_non_pnf_below_a_chain(self):
+        tr = bits_trace(a="01", b="10", c="11")
+        with pytest.raises(FormulaError, match="positive normal form"):
+            init_tree(parse("X wY (a U (c & ! (a | b)))"), tr)
+
+    @settings(max_examples=100, deadline=None)
+    @given(formulas(), traces())
+    def test_ids_are_preorder_indices(self, f, tr):
+        g = prune_bounds(to_pnf(f), len(tr))
+        t = init_tree(g, tr)
+        ids = preorder_ids(g)
+        assert sorted(t.node_formula.items()) == ids
+        assert leaves_left_to_right(t) == [v for v, h in ids if is_literal(h)]
+
+    def test_repeated_literal_is_two_leaves(self):
+        tr = bits_trace(a="01")
+        t = init_tree(to_pnf(parse("a & a")), tr)
+        assert t.children[0] == [1, 2]
+        assert t.leaf_numbers == {1: 0, 2: 1}
+        assert t.node_formula[1] == t.node_formula[2] == parse("a")
+        assert t.literal_bits[1] is t.literal_bits[2]
+
 
 class TestContractStep:
     def test_right_leaf_golden(self):
@@ -143,9 +189,9 @@ class TestContractStep:
         # an edge functionally equal to the collapsed one-row circuit
         tr = bits_trace(a="11111111", b="01000001")
         t = init_tree(parse("a U[3] b"), tr)
-        leaf_a, leaf_b = t.leaves_in_order()
+        leaf_a, leaf_b = leaves_left_to_right(t)
         t2 = contract_step(t, leaf_b)
-        assert t2.leaves_in_order() == [leaf_a]
+        assert leaves_left_to_right(t2) == [leaf_a]
         assert t2.parent[leaf_a] == ROOT
         label = t2.labels[leaf_a]
         from pathcheck.builder import build_bounded
@@ -162,7 +208,7 @@ class TestContractStep:
         tr = bits_trace(a="1010", b="0110")
         t = init_tree(parse("a U b"), tr)
         before = (dict(t.node_formula), dict(t.leaf_numbers), dict(t.parent))
-        leaf = t.leaves_in_order()[0]
+        leaf = leaves_left_to_right(t)[0]
         t2 = contract_step(t, leaf)
         assert (dict(t.node_formula), dict(t.leaf_numbers), dict(t.parent)) == before
         assert set(t2.node_formula) < set(t.node_formula)
@@ -170,7 +216,7 @@ class TestContractStep:
     def test_edge_formula_inherited(self):
         tr = bits_trace(a="1010", b="0110")
         t = init_tree(parse("X (a & b)"), tr)
-        leaf_a, leaf_b = t.leaves_in_order()
+        leaf_a, leaf_b = leaves_left_to_right(t)
         t2 = contract_step(t, leaf_a)
         assert t2.edge_formula[leaf_b] == parse("X (a & b)")
         assert apply(t2.labels[leaf_b], t2.literal_bits[leaf_b]) == eval_seq(
@@ -313,6 +359,34 @@ class TestRunContraction:
         assert set(t.node_formula) == nodes
 
 
+class TestVerifyTreeLeafOrder:
+    def test_rejects_swapped_numbers(self):
+        t = init_tree(parse("(a U b) & c"), small_trace())
+        t.leaf_numbers[2], t.leaf_numbers[4] = t.leaf_numbers[4], t.leaf_numbers[2]
+        with pytest.raises(ContractionError, match="left to right"):
+            verify_tree(t)
+
+    def test_rejects_numbered_inner_node(self):
+        t = init_tree(parse("(a U b) & c"), small_trace())
+        t.leaf_numbers[1] = 5
+        with pytest.raises(ContractionError, match="numbered nodes"):
+            verify_tree(t)
+
+    @settings(max_examples=60, deadline=None)
+    @given(formulas(max_leaves=8), traces(max_len=6))
+    def test_holds_at_every_stage(self, f, tr):
+        g = prune_bounds(to_pnf(f), len(tr))
+        stages = []
+
+        def verify(t, stage):
+            verify_tree(t)
+            stages.append(stage)
+
+        seq = run_contraction(init_tree(g, tr), on_stage=verify)
+        assert stages == list(range(len(stages)))
+        assert tuple(seq.tolist()) == eval_seq(tr, g)
+
+
 class TestVerifyTreeLabels:
     """verify_tree checks evaluatedness on the rows, not on a gate view."""
 
@@ -364,7 +438,7 @@ class TestRawRowUnderShift:
         rng = random.Random(f"{text} {n}")
         tr = random_trace(rng, n)
         tree = init_tree(prune_bounds(to_pnf(parse(text)), n), tr)
-        leaf_b = tree.leaves_in_order()[1]
+        leaf_b = leaves_left_to_right(tree)[1]
         assert tree.slot[leaf_b] == 1
         assert not is_identity(tree.labels[tree.parent[leaf_b]])
         stages = []

@@ -26,7 +26,6 @@ from pathcheck.formula import (
     parse,
     prune_bounds,
     size,
-    subformula_occurrences,
     to_pnf,
 )
 
@@ -254,44 +253,6 @@ class TestSize:
         assert size(cls(Atom("a"), Atom("b"))) == 3
         assert size(cls(Atom("a"), Atom("b"), None)) == 3
         assert size(cls(Atom("a"), Atom("b"), 7)) == 10
-
-
-class TestOccurrences:
-    def test_nested_until_has_nine(self):
-        f = to_pnf(parse("((a U b) U (c U d)) U e"))
-        occs = subformula_occurrences(f)
-        assert len(occs) == 9
-        assert occs[0].parent is None
-        for occ in occs[1:]:
-            assert occs[occ.parent] is not None
-
-    def test_literals_are_leaves(self):
-        f = to_pnf(parse("! a & b"))
-        occs = subformula_occurrences(f)
-        assert len(occs) == 3
-        assert occs[1].formula == Not(Atom("a"))
-        assert occs[1].slot == "left"
-        assert occs[2].slot == "right"
-
-    def test_repeated_subformulas_are_distinct_occurrences(self):
-        occs = subformula_occurrences(to_pnf(parse("a & a")))
-        assert len(occs) == 3
-        assert occs[1].formula == occs[2].formula
-
-    def test_rejects_non_pnf(self):
-        with pytest.raises(FormulaError):
-            subformula_occurrences(parse("! (a & b)"))
-
-    @settings(max_examples=100)
-    @given(formulas())
-    def test_parent_slot_consistency(self, f):
-        occs = subformula_occurrences(to_pnf(f))
-        for occ in occs:
-            if occ.parent is None:
-                assert occ.slot is None
-            else:
-                assert occ.parent < occ.index
-                assert occ.slot in ("left", "right", "child")
 
 
 class TestLiterals:

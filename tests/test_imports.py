@@ -33,3 +33,18 @@ def test_oracle_shares_no_code_with_the_circuit_pipeline():
 
 def test_contraction_checks_rows_without_the_gate_view():
     assert "circuit" not in imported_modules("contraction")
+
+
+def imported_names(name: str) -> set[str]:
+    """Every name that `name` binds by an import statement, at any depth."""
+    return {
+        alias.asname or alias.name
+        for node in ast.walk(ast.parse((SRC / f"{name}.py").read_text()))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+
+
+def test_cli_runs_the_pipeline_only_through_check():
+    assert "check" in imported_names("cli")
+    assert not {"init_tree", "run_contraction", "to_pnf", "prune_bounds"} & imported_names("cli")
