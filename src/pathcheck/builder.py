@@ -11,6 +11,8 @@ tests can address gates by position.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .circuit import Transducer, constant_circuit
@@ -36,17 +38,47 @@ def build_shift(n: int, op: str) -> Label:
 
     Layout: one row of ID cells and the constant at the missing neighbour.
     """
-    if op not in SHIFT_OPS:
-        raise BuildError(f"unknown shift operator {op!r}")
+    return build_shifts(n, (op,))
+
+
+def build_shifts(n: int, ops) -> Label:
+    """A chain of one-step shifts, innermost first, as one row: the label
+    that composing their `build_shift` rows innermost first would give.
+
+    Output i walks the chain from the outermost shift: it is the constant of
+    the first shift whose missing neighbour it reaches, else an ID of the
+    input at i plus the chain's net offset. `a` composes the steps' indices,
+    each clamped to [0, n-1], so a constant cell reads where the clamped walk
+    ends; a row that is all constant keeps the outermost step's indices.
+    Both are computed from the chain's offsets in O(n + len(ops)).
+    """
     if n < 1:
         raise BuildError("arity must be at least 1")
-    step = 1 if op in ("X", "wX") else -1
-    edge = n - 1 if step > 0 else 0  # the missing neighbour's position
+    if not ops:
+        return Label(n)
+    hits: dict[int, int] = {}  # cell -> the constant it reaches first
+    offset = 0  # the net offset of the shifts outside the current one
+    lo, hi = -np.inf, np.inf  # the walk so far is clip(i + offset, lo, hi)
+    for op in reversed(ops):
+        if op not in SHIFT_OPS:
+            raise BuildError(f"unknown shift operator {op!r}")
+        step = 1 if op in ("X", "wX") else -1
+        cell = (n - 1 if step > 0 else 0) - offset  # it reaches the missing neighbour here
+        if 0 <= cell < n:
+            hits.setdefault(cell, TRUE if op in ("wX", "wY") else FALSE)
+        offset += step
+        lo, hi = max(lo + step, 0), min(max(hi + step, 0), n - 1)
     kind = np.full(n, ID, dtype=np.uint8)
-    kind[edge] = TRUE if op in ("wX", "wY") else FALSE
-    a = np.arange(step, n + step)
-    a[edge] = edge
-    return Label(n, (Row(kind, a),))
+    for cell, value in hits.items():
+        kind[cell] = value
+    top = ID
+    if len(hits) == n:  # the outermost step's own indices
+        offset, lo, hi = (1 if ops[-1] in ("X", "wX") else -1), 0, n - 1
+        top = max(hits.values())
+    a = positions(n) + offset
+    np.maximum(a, lo, out=a)
+    np.minimum(a, hi, out=a)
+    return Label(n, (Row(kind, a, top=top, consts=len(hits)),))
 
 
 def build_boolean(n: int, op: str, known) -> Label:
@@ -59,8 +91,12 @@ def build_boolean(n: int, op: str, known) -> Label:
         raise BuildError(f"unknown boolean operator {op!r}")
     known = _known(n, known)
     absorbing = op == "|"  # the known value that decides the output
-    kind = np.where(known == absorbing, TRUE if absorbing else FALSE, ID).astype(np.uint8)
-    return Label(n, (Row(kind, positions(n)),))
+    decided = known == absorbing
+    constant = TRUE if absorbing else FALSE
+    kind = np.where(decided, constant, ID).astype(np.uint8)
+    consts = int(np.count_nonzero(decided))
+    top = ID if consts < n else constant
+    return Label(n, (Row(kind, positions(n), top=top, consts=consts),))
 
 
 def _known(n: int, known) -> np.ndarray:
@@ -142,16 +178,30 @@ def build_bounded(n: int, op: str, bound: int, known_side: str, known) -> Label:
     if known_side == "right":
         # a witness settles output i at once: a known True for U/S, False for R/T
         witness = known == exists
-        before = np.concatenate(([0], np.cumsum(witness)))  # witnesses before each position
-        last = np.clip(at + step * bound, 0, n - 1)
-        in_window = before[np.maximum(at, last) + 1] > before[np.minimum(at, last)]
+        before = np.zeros(n + 1, dtype=np.intp)  # witnesses before each position
+        np.cumsum(witness, out=before[1:])
+        # whether a witness lies in the window from i to i + step * bound
+        if step > 0:
+            in_window = before[np.minimum(at + (bound + 1), n)] > before[:-1]
+        else:
+            in_window = before[1:] > before[np.maximum(at - bound, 0)]
         hit, miss, chain = (TRUE, FALSE, CHAIN_AND) if exists else (FALSE, TRUE, CHAIN_OR)
         kind = np.where(witness, hit, np.where(in_window, chain, miss))
         return Label(n, (Row(kind.astype(np.uint8), at, d=step, raw=True),))
     # a binary cell reads the cell below it and the diagonal neighbour below
     # it; an ID cell reads the cell below it
-    diagonal = at + step
-    diagonal[n - 1 if step > 0 else 0] = -1  # the edge column has no diagonal
-    kind = np.where((known == exists) & (diagonal >= 0), OR if exists else AND, ID)
-    row = Row(kind.astype(np.uint8), at, np.maximum(diagonal, 0))
+    edge = n - 1 if step > 0 else 0  # the edge column has no diagonal
+    kind = np.where(known == exists, OR if exists else AND, ID).astype(np.uint8)
+    kind[edge] = ID
+    row = Row(kind, at, _diagonal(n, step), consts=0)
     return Label(n, (row,) * bound)
+
+
+@lru_cache(maxsize=8)
+def _diagonal(n: int, step: int) -> np.ndarray:
+    """The read-only diagonal operand of a grid row: the neighbour at
+    i + step, and 0 in the edge column, which has none."""
+    diagonal = positions(n) + step
+    diagonal[n - 1 if step > 0 else 0] = 0
+    diagonal.flags.writeable = False
+    return diagonal

@@ -119,14 +119,24 @@ def random_formula(rng: random.Random, budget: int, max_bound: int, alphabet=ALP
     )
 
 
+# The most 64-bit words one `getrandbits` call draws: its bit count must
+# fit a C int.
+MAX_DRAW_WORDS = (1 << 31) // 64 - 1
+
+
 def random_trace(rng: random.Random, max_len: int, alphabet=ALPHABET) -> Trace:
     """A trace of 1..max_len states whose cell (i, p) is `rng.random() < 0.5`
-    of the i * len(alphabet) + p-th draw. One `getrandbits` call draws the
-    same 32-bit words and leaves `rng` in the same state: `random()` is below
-    0.5 exactly when the top bit of the first of its two words is 0."""
+    of the i * len(alphabet) + p-th draw. `getrandbits` draws the same
+    32-bit words and leaves `rng` in the same state: `random()` is below 0.5
+    exactly when the top bit of the first of its two words is 0. Long traces
+    are drawn in chunks of whole 64-bit words, which give the same words."""
     n = rng.randint(1, max_len)
     cells = n * len(alphabet)
-    words = np.frombuffer(rng.getrandbits(64 * cells).to_bytes(8 * cells, "little"), "<u4")
+    words = np.empty(2 * cells, dtype="<u4")
+    for start in range(0, cells, MAX_DRAW_WORDS):
+        count = min(MAX_DRAW_WORDS, cells - start)
+        chunk = rng.getrandbits(64 * count).to_bytes(8 * count, "little")
+        words[2 * start:2 * (start + count)] = np.frombuffer(chunk, "<u4")
     bits = words[::2] < 1 << 31
     return Trace(bits.reshape(n, len(alphabet)).T, tuple(alphabet))
 
@@ -173,6 +183,8 @@ def check_config(cfg: CampaignConfig, processes: int) -> None:
         raise PathcheckError("processes must be at least 1")
     if cfg.cases < 1:
         raise PathcheckError("cases must be at least 1")
+    if cfg.max_size < 1:
+        raise PathcheckError("max_size must be at least 1")
     if cfg.max_len < 1:
         raise PathcheckError("max_len must be at least 1")
     if cfg.max_bound < 0:

@@ -54,6 +54,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: out of memory: the input is too large", file=sys.stderr)
+        return 2
 
 
 def _build_parser() -> argparse.ArgumentParser:

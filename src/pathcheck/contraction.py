@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -108,12 +108,13 @@ def init_tree(f: Formula, trace: Trace) -> ContractionTree:
 
     Each node is numbered by its preorder index, unary occurrences counted.
     Unary operators never become nodes: the walk carries each unary chain
-    down as nested (operator, rest) pairs, innermost first, and composes it,
-    innermost shift first, into the label of the edge to the first
-    non-unary subformula beneath it; shift rows fuse, so such a label stays
-    one row. Other edges keep the identity. Preorder reaches the leaves left
-    to right, so each is numbered when reached. Each distinct literal's bit
-    column is built once, as a bool array shared by its leaves.
+    down as nested (operator, rest) pairs, innermost first, and the edge to
+    the first non-unary subformula beneath it gets the whole chain as one
+    gather row (`builder.build_shifts`, the row that composing the shifts
+    innermost first would give). Other edges keep the identity. Preorder
+    reaches the leaves left to right, so each is numbered when reached. Each
+    distinct literal's bit column is built once, as a bool array shared by
+    its leaves.
     """
     tree = ContractionTree(trace)
     n = tree.n
@@ -130,15 +131,17 @@ def init_tree(f: Formula, trace: Trace) -> ContractionTree:
             continue
         if not (isinstance(g, Binary) or is_literal(g)):
             raise FormulaError("formula must be in positive normal form")
-        label = ident
         tree.edge_formula[node] = g
-        while chain is not None:
-            # each shift climbed transforms what the label already emits
-            u, chain = chain
-            label = compose_evaluated(label, builder.build_shift(n, TOKENS[type(u)]))
+        if chain is None:
+            tree.labels[node] = ident
+        else:
+            shifts = []  # innermost first
+            while chain is not None:
+                u, chain = chain
+                shifts.append(TOKENS[type(u)])
+            tree.labels[node] = builder.build_shifts(n, shifts)
             tree.edge_formula[node] = u
         tree.node_formula[node] = g
-        tree.labels[node] = label
         tree.parent[node] = parent
         tree.slot[node] = len(tree.children[parent])  # left is reached first
         tree.children[parent].append(node)
@@ -154,8 +157,7 @@ def init_tree(f: Formula, trace: Trace) -> ContractionTree:
     return tree
 
 
-@dataclass(frozen=True)
-class _Plan:
+class _Plan(NamedTuple):
     leaf: int
     parent: int
     sibling: int

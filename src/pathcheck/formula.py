@@ -9,9 +9,10 @@ the current position. The unary steps are Next/Yesterday (strong: the
 neighbour position must exist) and WeakNext/WeakYesterday (weak: true at
 the trace edge).
 
-Nothing here recurses: the transforms are folds over an explicit stack
-(`fold`), and `parse` is one loop over an operator stack, so the nesting
-depth of a formula is limited only by the size of its text.
+Nothing here recurses: the transforms, equality, hashing, repr and
+pickling are walks over an explicit stack (mostly `fold`), and `parse` is
+one loop over an operator stack, so the nesting depth of a formula is
+limited only by the size of its text.
 """
 
 from __future__ import annotations
@@ -32,29 +33,107 @@ V = TypeVar("V")
 
 
 class Formula:
-    """Marker base class; every node is a frozen dataclass below."""
+    """Base class; every node is a frozen dataclass below. Equality, hashing,
+    repr and pickling walk the formula over an explicit stack, as the
+    transforms do. Two nodes are equal when their classes, names, bounds and
+    children are, so `Until(a, b) != Release(a, b)` and `a U[0] b` is not
+    `a U b`."""
 
     __slots__ = ()
 
+    def __eq__(self, other):
+        if not isinstance(other, Formula):
+            return NotImplemented
+        todo = [(self, other)]
+        while todo:
+            f, g = todo.pop()
+            if f is g:
+                continue
+            if type(f) is not type(g):
+                return False
+            if isinstance(f, Atom):
+                if f.name != g.name:
+                    return False
+            elif isinstance(f, Unary):
+                todo.append((f.child, g.child))
+            elif f.bound != g.bound:
+                return False
+            else:
+                todo += [(f.right, g.right), (f.left, g.left)]
+        return True
 
-@dataclass(frozen=True)
+    def __hash__(self):
+        return fold(
+            self,
+            lambda node, neg: hash((Atom, node.name)),
+            lambda node, child, neg: hash((type(node), child)),
+            lambda node, left, right, neg: hash((type(node), left, right, node.bound)),
+        )
+
+    def __repr__(self):
+        """The dataclass repr, for example `Until(left=Atom(name='a'),
+        right=Atom(name='b'), bound=None)`, built in one pass."""
+        parts = []
+        todo = [self]
+        while todo:
+            f = todo.pop()
+            if isinstance(f, str):
+                parts.append(f)
+            elif isinstance(f, Atom):
+                parts.append(f"Atom(name={f.name!r})")
+            elif isinstance(f, Unary):
+                parts.append(f"{type(f).__qualname__}(child=")
+                todo += [")", f.child]
+            else:
+                parts.append(f"{type(f).__qualname__}(left=")
+                close = f", bound={f.bound!r})" if isinstance(f, Temporal) else ")"
+                todo += [close, f.right, ", right=", f.left]
+        return "".join(parts)
+
+    def __reduce__(self):
+        """Pickle as the flat list of nodes `fold` visits, children first."""
+        nodes = []
+        fold(
+            self,
+            lambda node, neg: nodes.append((Atom, node.name)),
+            lambda node, child, neg: nodes.append((type(node), None)),
+            lambda node, left, right, neg: nodes.append((type(node), node.bound)),
+        )
+        return _unflatten, (nodes,)
+
+
+def _unflatten(nodes: list[tuple]) -> Formula:
+    """The formula `Formula.__reduce__` flattened, rebuilt over a stack."""
+    values = []
+    for cls, arg in nodes:
+        if cls is Atom:
+            values.append(Atom(arg))
+        elif issubclass(cls, Unary):
+            values.append(cls(values.pop()))
+        else:
+            left = values.pop()  # the left value is on top, as in `fold`
+            values.append(_binary(cls, left, values.pop(), arg))
+    return values[0]
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class Atom(Formula):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Unary(Formula):
     child: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Binary(Formula):
     left: Formula
     right: Formula
     bound = None  # only the temporal operators have a window
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Temporal(Binary):
     bound: Optional[int] = None  # None: unbounded
 

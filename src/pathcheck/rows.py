@@ -17,11 +17,11 @@ settled cell in direction d, which one `np.minimum.accumulate` (maximum, for
 d = -1) finds for the whole row. So `apply` is at most two gathers, one
 table lookup and one scan per row.
 
-Each per-cell rule is one lookup in a flat uint8 table, by a code computed
-in uint8 from the cell's kind and what it reads: `kind * 4 + 2x + y` when
-applying, `kind * 9 + 3x + y` when folding (x, y: 0, 1, or 2 for not a
-constant), `kind * 8 + neighbour kind` when cutting chains. A lookup by
-three index arrays would have numpy widen each of them to intp first. Rows
+Applying and folding a cell is one lookup in a flat uint8 table, by a code
+computed in uint8 from the cell's kind and what it reads: `kind * 4 + 2x +
+y` when applying, `kind * 9 + 3x + y` when folding (x, y: 0, 1, or 2 for
+not a constant, which is `min(kind below, 2)`). A lookup by three index
+arrays would have numpy widen each of them to intp first. Rows
 that read the row below in place (boolean, unbounded and collapsed bounded
 rows) share one read-only `positions(n)` as their operand index, and the
 kernels skip the gather through it; an equal array that is not that one is
@@ -29,9 +29,11 @@ gathered, with the same result.
 
 A label is evaluated when no cell reads a constant. `compose_evaluated`
 stacks two labels and folds the constants at the seam upward: a table lookup
-per cell, then two chain scans (0 flows through COPY and CHAIN_AND cells, 1
-through COPY and CHAIN_OR cells, each skipped when no such chain ends at
-that constant), stopping at the first row that gains no constant. It drops
+per cell, then, where a chain cell has come to sit next to a constant, two
+chain scans (0 flows through COPY and CHAIN_AND cells, 1 through COPY and
+CHAIN_OR cells, each skipped when no such chain ends at that constant) and
+a cut of the chain cells left next to a constant, stopping at the first row
+that gains no constant. It drops
 every row below an all-constant row and fuses each pure-gather row
 (constants and IDs, such as a shift) into the row above by composing
 indices. `is_evaluated` checks that invariant on the rows themselves.
@@ -71,9 +73,6 @@ _APPLY = np.array([
     2, 2, 1, 1,  # CHAIN_OR
 ], dtype=np.uint8)
 
-# 0/1 for a constant kind, 2 for any other
-_CONST = np.array([0, 1, 2, 2, 2, 2, 2, 2], dtype=np.uint8)
-
 
 def _local_fold(kind: int, x: int, y: int) -> tuple[int, bool]:
     """A cell's kind once the row below is known to hold x at a[i] and y at
@@ -97,13 +96,6 @@ _FOLD = np.zeros(8 * 9, dtype=np.uint8)
 for _k, _x, _y in product(range(8), range(3), range(3)):
     _kind, _swap = _local_fold(_k, _x, _y)
     _FOLD[_k * 9 + _x * 3 + _y] = _kind + _SWAPPED * _swap
-
-# _CUT[kind * 8 + neighbour kind]: a chain AND/OR next to a constant is an ID
-# of its operand below (the constant cases that absorb were settled before)
-_CUT = np.repeat(np.arange(8, dtype=np.uint8), 8)
-for _k, _x in product((CHAIN_AND, CHAIN_OR), (FALSE, TRUE)):
-    _CUT[_k * 8 + _x] = ID
-
 
 @lru_cache(maxsize=4)  # a check works at one n
 def positions(n: int) -> np.ndarray:
@@ -199,7 +191,7 @@ def apply(label: Label, bits) -> np.ndarray:
     v = v.view(np.uint8)
     for row in label.rows:
         x, y = _operands(row, v)
-        v = _APPLY.take(row.kind * 4 + 2 * x + y)  # uint8 codes below 32
+        v = _APPLY.take(row.kind * 4 + (3 * x if y is x else 2 * x + y))  # uint8 codes below 32
         if row.top >= COPY:
             v = v[_next(v != _NEXT, row.d)]
     return v.view(bool)
@@ -219,33 +211,57 @@ _THROUGH = ((FALSE, CHAIN_AND), (TRUE, CHAIN_OR))
 def fold(row: Row, below: Row | None = None) -> Row:
     """The row with the constants of `below` (None: the variables) folded in
     and let flow along its chains; the row itself when nothing changes."""
-    kind, a, consts = row.kind, row.a, row.consts
+    kind, a, top, consts = row.kind, row.a, row.top, row.consts
     if below is not None and below.consts:
-        x, y = _operands(row, _CONST.take(below.kind))
-        kind = _FOLD.take(kind * 9 + 3 * x + y)  # uint8 codes below 72
-        if kind.max() >= _SWAPPED:
+        x, y = _operands(row, np.minimum(below.kind, 2))  # 2: not a constant
+        kind = _FOLD.take(kind * 9 + (4 * x if y is x else 3 * x + y))  # uint8 codes below 72
+        top = int(kind.max())
+        if top >= _SWAPPED:
             swap = kind >= _SWAPPED
             a = np.where(swap, row.b, a)
             kind -= swap * np.uint8(_SWAPPED)
+            top = None
         consts = int(np.count_nonzero(kind <= TRUE))
     elif not row.raw:
         return row
     if row.top >= COPY and (row.raw or consts > row.consts):
-        for value, chain in _THROUGH:
+        kind, settled = _settle(kind, row.d)
+        if settled:
+            top = consts = None
+    return Row(kind, a, row.b, row.d, top=top, consts=consts)
+
+
+def _settle(kind: np.ndarray, d: int) -> tuple[np.ndarray, bool]:
+    """The kinds of a row with chains in direction d, with its constants let
+    flow along the chains and the chains cut next to the constants left, and
+    whether anything changed. Both need a chain cell next to a constant, so
+    one test usually settles it; a constant's scan is skipped when no chain
+    it flows through ends at it."""
+    def cells(kind):  # every cell but the far end, and the next one along
+        return (kind[:-1], kind[1:]) if d > 0 else (kind[1:], kind[:-1])
+
+    here, after = cells(kind)
+    edge = (here >= COPY) & (after <= TRUE)
+    if not edge.any():
+        return kind, False
+    # which chain cells end at which constant, as kind * 2 + constant; a
+    # flow of FALSE neither makes nor removes a chain that TRUE flows
+    # through to a TRUE, so both are read before either flows
+    ends = np.bincount((here * 2 + after)[edge], minlength=16)
+    flowed = False
+    for value, chain in _THROUGH:
+        if ends[COPY * 2 + value] or ends[chain * 2 + value]:
             passes = (kind == COPY) | (kind == chain)
-            if not _any_before(passes, kind == value, row.d):
-                continue  # no chain ends at this constant
-            reached = passes & (kind[_next(~passes, row.d)] == value)
+            reached = passes & (kind[_next(~passes, d)] == value)
             kind = np.where(reached, np.uint8(value), kind)
-        # the far end gets no neighbour in its code: it is not a chain cell
-        code = kind * 8
-        if row.d > 0:
-            code[:-1] += kind[1:]
-        else:
-            code[1:] += kind[:-1]
-        kind = _CUT.take(code)
-        consts = None
-    return Row(kind, a, row.b, row.d, consts=consts)
+            flowed = True
+    if not flowed:
+        kind = kind.copy()
+    # a chain AND/OR next to a constant is an ID of its operand below (the
+    # constant cases that absorb were settled by the flows)
+    here, after = cells(kind)
+    here[(here >= CHAIN_AND) & (after <= TRUE)] = ID
+    return kind, True
 
 
 def compose_evaluated(first: Label, second: Label) -> Label:

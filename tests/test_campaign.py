@@ -53,6 +53,17 @@ class TestGenerators:
             assert 1 <= len(tr) <= 9
             assert tr.alphabet == ALPHABET
 
+    @pytest.mark.parametrize("chunk", [1, 3, 7, 64])
+    def test_chunked_draws_are_one_draw(self, monkeypatch, chunk):
+        # drawing in chunks of whole 64-bit words gives the bits and the
+        # generator state of one draw; the real chunk size only matters for
+        # traces too long to draw in a test
+        plain = [random.Random(seed) for seed in range(40)]
+        expected = [(random_trace(rng, 70), rng.getstate()) for rng in plain]
+        monkeypatch.setattr(campaign, "MAX_DRAW_WORDS", chunk)
+        chunked = [random.Random(seed) for seed in range(40)]
+        assert [(random_trace(rng, 70), rng.getstate()) for rng in chunked] == expected
+
     def test_trace_matches_per_cell_draws(self):
         # cell (i, p) is the (i * len(alphabet) + p)-th `random() < 0.5`, and
         # the generator ends in the same state as after those draws
@@ -160,8 +171,11 @@ class TestRunCampaign:
             ({"cases": -3}, 1, "cases"),
             ({"max_len": 0}, 2, "max_len"),
             ({"max_bound": -1}, 2, "max_bound"),
+            ({"max_size": -5}, 1, "max_size"),
+            ({"max_size": 0}, 1, "max_size"),
         ],
-        ids=["processes", "no-cases", "negative-cases", "max-len", "max-bound"],
+        ids=["processes", "no-cases", "negative-cases", "max-len", "max-bound",
+             "negative-max-size", "no-max-size"],
     )
     def test_rejects_bad_config(self, changes, processes, match):
         with pytest.raises(PathcheckError, match=match):

@@ -191,6 +191,22 @@ class TestCheck:
 
 
 class TestDot:
+    def test_out_of_memory_exits_2(self, capsys, monkeypatch):
+        # an oversized arity fails to allocate; that is an error line and
+        # exit 2, not a traceback (no huge array is allocated here)
+        import pathcheck.builder as builder_mod
+
+        def too_large(n, op):
+            raise MemoryError
+
+        monkeypatch.setattr(builder_mod, "build_shift", too_large)
+        rc = main(["dot", "--op", "X", "--arity", "100000000000"])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: ") and "memory" in err
+        assert "Traceback" not in err
+
     def test_builder_collapsed_row(self, capsys):
         rc = main(["dot", "--op", "U[3]", "--side", "right",
                    "--seq", "0,1,0,0,0,0,0,1"])
@@ -407,7 +423,8 @@ class TestSelftest:
 
     @pytest.mark.parametrize(
         "argv",
-        [["--cases", "0"], ["--cases", "-3"], ["--max-len", "0"], ["--max-bound", "-1"]],
+        [["--cases", "0"], ["--cases", "-3"], ["--max-len", "0"], ["--max-bound", "-1"],
+         ["--max-size", "-5"], ["--max-size", "0"]],
         ids=lambda argv: " ".join(argv),
     )
     def test_bad_config_exit_2(self, argv, capsys):

@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -267,3 +269,49 @@ class TestLiterals:
 
 def test_atom_names():
     assert atom_names(parse("(a U[2] b) & ! c | F d")) == {"a", "b", "c", "d", TRUE_NAME}
+
+
+class TestDeepFormulas:
+    """Equality, hashing, repr and pickling walk the formula over a stack."""
+
+    DEEP = {
+        "next_chain": "X " * 3000 + "a",
+        "until_chain": " U ".join(f"p{i}" for i in range(2001)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(DEEP))
+    def test_deep_formula_methods(self, name):
+        f, g = parse(self.DEEP[name]), parse(self.DEEP[name])
+        assert f is not g and f == g and not f != g
+        assert hash(f) == hash(g)
+        assert repr(f) == repr(g) and len(repr(f)) > 6000
+        back = pickle.loads(pickle.dumps(f))
+        assert back == f and hash(back) == hash(f)
+        assert parse(self.DEEP[name] + " & b") != f
+
+    def test_equality_is_class_sensitive(self):
+        a, b = Atom("a"), Atom("b")
+        assert Until(a, b) != Release(a, b)
+        assert And(a, b) != Or(a, b)
+        assert Next(a) != WeakNext(a)
+        assert Until(a, b, 0) != Until(a, b)
+        assert Until(a, b, None) == Until(a, b)
+        assert Until(a, b, 3) == Until(a, b, 3) != Until(a, b, 4)
+        assert Atom("a") != "a" and Atom("a") == Atom("a")
+
+    def test_repr_is_the_dataclass_repr(self):
+        assert repr(parse("(a U[2] !b) & X c")) == (
+            "And(left=Until(left=Atom(name='a'), right=Not(child=Atom(name='b')), bound=2), "
+            "right=Next(child=Atom(name='c')))"
+        )
+        assert repr(parse("a S b")) == "Since(left=Atom(name='a'), right=Atom(name='b'), bound=None)"
+
+    @settings(max_examples=200, deadline=None)
+    @given(formulas(), formulas())
+    def test_methods_agree_with_structure(self, f, g):
+        same = format_formula(f) == format_formula(g)
+        assert (f == g) == same
+        if same:
+            assert hash(f) == hash(g)
+        back = pickle.loads(pickle.dumps(f))
+        assert back == f and type(back) is type(f) and repr(back) == repr(f)
