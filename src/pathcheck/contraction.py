@@ -1,9 +1,10 @@
 """Contraction trees and the staged evaluation engine.
 
-A PNF formula becomes a tree whose inner nodes are its binary operators and
-whose leaves are its literals; unary step operators are swallowed into the
-edges. Every edge carries a transducer that maps the sequence produced below
-the edge to the sequence the rest of the formula expects.
+A formula becomes a tree whose inner nodes are its binary operators and
+whose leaves are its literals, negations folded into operator duals on the
+way down (the tree of its positive normal form); unary step operators are
+swallowed into the edges. Every edge carries a transducer that maps the
+sequence below the edge to the sequence the rest of the formula expects.
 
 Every edge label is a stack of n-wide rows (`rows.Label`). Contracting a
 leaf applies its edge to its literal's bit column, specializes the parent
@@ -26,19 +27,11 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import builder
-from .errors import ContractionError, FormulaError, TraceError
+from .errors import ContractionError, TraceError
 from .formula import (
-    TOKENS,
-    UNARY_TEMPORAL,
-    Binary,
-    Formula,
-    atom_names,
-    format_formula,
-    is_literal,
-    literal_parts,
-    prune_bounds,
-    to_pnf,
+    _DUAL, TOKENS, UNARY_TEMPORAL, Binary, Formula, Not, atom_names, format_formula, is_literal,
 )
+from .formula import prune_bounds, to_pnf  # not called here; pathbench/tracer.py wraps these names
 from .rows import Label, apply, compose_evaluated, identity, is_evaluated
 from .trace import Trace, atom_sequence, require_known
 
@@ -47,7 +40,7 @@ ROOT = -1
 class ContractionTree:
     """Mutable contraction state over one trace.
 
-    Nodes are identified by their preorder index in the PNF formula, unary
+    Nodes are identified by their preorder index in the formula's PNF, unary
     occurrences counted (`init_tree`); ROOT (-1) marks the region above the
     topmost node. `labels[v]` is the row label on the edge from v's parent
     down to v, and `edge_formula[v]` is the subformula whose sequence that
@@ -103,57 +96,59 @@ class ContractionTree:
 
 
 def init_tree(f: Formula, trace: Trace) -> ContractionTree:
-    """Build the initial tree for a PNF formula over a trace in one preorder
-    walk; a negation over anything but an atom raises FormulaError.
+    """Build the initial tree for a formula, as parsed, over a trace in one
+    preorder walk that carries the polarity down, as `formula.fold` does.
 
-    Each node is numbered by its preorder index, unary occurrences counted.
-    Unary operators never become nodes: the walk carries each unary chain
-    down as nested (operator, rest) pairs, innermost first, and the edge to
-    the first non-unary subformula beneath it gets the whole chain as one
-    gather row (`builder.build_shifts`, the row that composing the shifts
-    innermost first would give). Other edges keep the identity. Preorder
-    reaches the leaves left to right, so each is numbered when reached. Each
-    distinct literal's bit column is built once, as a bool array shared by
-    its leaves.
+    A Not is no node; under an odd number of them a node stands for its dual
+    (`_DUAL`) and stores `Not(g)`, which has the dual's sequence, so nodes
+    are numbered by their preorder index in the formula's PNF, unary
+    occurrences counted. Unary operators never become nodes: the walk
+    carries each chain down as nested (operator, polarity, rest) triples,
+    and the edge to the first non-unary subformula beneath it gets the whole
+    chain as one gather row (`builder.build_shifts`, the row that composing
+    the shifts innermost first would give). Other edges keep the identity.
+    Leaves are numbered as preorder reaches them, left to right. Once every
+    name is known to the trace, each distinct literal's bit column is built
+    once, as a bool array shared by its leaves.
     """
     tree = ContractionTree(trace)
     n = tree.n
     ident = identity(n)
-    columns: dict[tuple[str, bool], np.ndarray] = {}
+    literals: dict[int, tuple[str, bool]] = {}  # leaf -> (name, negated)
     tree.children[ROOT] = []
-    todo: list[tuple[Formula, int, Optional[tuple]]] = [(f, ROOT, None)]
+    todo: list[tuple[Formula, bool, int, Optional[tuple]]] = [(f, False, ROOT, None)]
     node = -1
     while todo:
-        g, parent, chain = todo.pop()
+        g, neg, parent, chain = todo.pop()
+        if type(g) is Not:
+            todo.append((g.child, not neg, parent, chain))
+            continue
         node += 1
         if isinstance(g, UNARY_TEMPORAL):
-            todo.append((g.child, parent, (g, chain)))
+            todo.append((g.child, neg, parent, (g, neg, chain)))
             continue
-        if not (isinstance(g, Binary) or is_literal(g)):
-            raise FormulaError("formula must be in positive normal form")
-        tree.edge_formula[node] = g
+        tree.node_formula[node] = tree.edge_formula[node] = Not(g) if neg else g
         if chain is None:
             tree.labels[node] = ident
         else:
             shifts = []  # innermost first
             while chain is not None:
-                u, chain = chain
-                shifts.append(TOKENS[type(u)])
+                u, uneg, chain = chain
+                shifts.append(TOKENS[_DUAL[type(u)] if uneg else type(u)])
             tree.labels[node] = builder.build_shifts(n, shifts)
-            tree.edge_formula[node] = u
-        tree.node_formula[node] = g
+            tree.edge_formula[node] = Not(u) if uneg else u
         tree.parent[node] = parent
         tree.slot[node] = len(tree.children[parent])  # left is reached first
         tree.children[parent].append(node)
         if isinstance(g, Binary):
             tree.children[node] = []
-            todo += [(g.right, node, None), (g.left, node, None)]
+            todo += [(g.right, neg, node, None), (g.left, neg, node, None)]
         else:
-            key = literal_parts(g)
-            if key not in columns:
-                columns[key] = atom_sequence(trace, *key)
-            tree.literal_bits[node] = columns[key]
+            literals[node] = (g.name, neg)
             tree.leaf_numbers[node] = len(tree.leaf_numbers)
+    require_known(trace, {name for name, _ in literals.values()})
+    columns = {key: atom_sequence(trace, *key) for key in dict.fromkeys(literals.values())}
+    tree.literal_bits = {leaf: columns[key] for leaf, key in literals.items()}
     return tree
 
 
@@ -167,17 +162,18 @@ class _Plan(NamedTuple):
 
 
 def _build_partial(f: Formula, known_side: str, known, n: int) -> Label:
-    """The operator f specialized on its known operand: evaluated, except for
-    the raw collapsed row of a bounded operator with its right side known.
-    A bound of at least n - 1 lets every window reach the trace's end, so
-    that operator is built as the unbounded one."""
-    if not isinstance(f, Binary):
+    """The operator node f (a node Not(g) is g's dual) specialized on its
+    known operand: evaluated, except for the raw collapsed row of a bounded
+    operator with its right side known. A bound of at least n - 1 lets every
+    window reach the trace's end, so that operator is built as unbounded."""
+    g = f.child if isinstance(f, Not) else f
+    if not isinstance(g, Binary):
         raise ContractionError(f"not a binary operator node: {format_formula(f)}")
-    op = TOKENS[type(f)]
+    op = TOKENS[_DUAL[type(g)] if g is not f else type(g)]
     if op in ("&", "|"):
         return builder.build_boolean(n, op, known)
-    if f.bound is not None and f.bound < n - 1:
-        return builder.build_bounded(n, op, f.bound, known_side, known)
+    if g.bound is not None and g.bound < n - 1:
+        return builder.build_bounded(n, op, g.bound, known_side, known)
     return builder.build_unbounded(n, op, known_side, known)
 
 
@@ -399,22 +395,20 @@ def check(
 ) -> CheckResult:
     """Decide whether the trace satisfies the formula (at position 0).
 
-    engine="circuit" runs the contraction pipeline on the pruned PNF of f,
-    passing `record` and `on_stage` to `run_contraction`; engine="naive"
-    evaluates the defining quantifiers directly. Both return the full
-    satisfaction sequence.
+    engine="circuit" runs the contraction pipeline on f as parsed (`init_tree`
+    folds negations into duals), passing `record` and `on_stage` to
+    `run_contraction`; engine="naive" evaluates the defining quantifiers
+    directly. Both return the full satisfaction sequence.
     """
     if len(trace) == 0:
         raise TraceError("cannot check an empty trace")
-    require_known(trace, atom_names(f))
     if engine == "naive":
         from .semantics import eval_array
 
+        require_known(trace, atom_names(f))
         seq = eval_array(trace, f)
     elif engine == "circuit":
-        g = prune_bounds(to_pnf(f), len(trace))
-        tree = init_tree(g, trace)
-        seq = run_contraction(tree, record=record, on_stage=on_stage)
+        seq = run_contraction(init_tree(f, trace), record=record, on_stage=on_stage)
     else:
         raise ContractionError(f"unknown engine {engine!r}")
     return CheckResult(bool(seq[0]), seq)

@@ -215,15 +215,6 @@ def is_literal(f: Formula) -> bool:
     return isinstance(f, Atom) or (isinstance(f, Not) and isinstance(f.child, Atom))
 
 
-def literal_parts(f: Formula) -> tuple[str, bool]:
-    """Return (atom name, negated) for a literal."""
-    if isinstance(f, Atom):
-        return f.name, False
-    if isinstance(f, Not) and isinstance(f.child, Atom):
-        return f.child.name, True
-    raise FormulaError(f"not a literal: {format_formula(f)}")
-
-
 def _format_binary(node: Binary, left: str, right: str, neg: bool) -> str:
     tok = TOKENS[type(node)]
     if node.bound is not None:

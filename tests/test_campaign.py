@@ -186,9 +186,9 @@ class TestRunCampaign:
         sizes = []
 
         class Recording:
-            def Pool(self, processes):
+            def Pool(self, processes, **kwargs):
                 sizes.append(processes)
-                return fork.Pool(processes)
+                return fork.Pool(processes, **kwargs)
 
         monkeypatch.setattr(campaign.multiprocessing, "get_context", lambda method: Recording())
         cfg = CampaignConfig(cases=2, max_size=6, max_len=6, seed=4)
@@ -201,9 +201,9 @@ class TestRunCampaign:
         sizes = []
 
         class Recording:
-            def Pool(self, processes):
+            def Pool(self, processes, **kwargs):
                 sizes.append(processes)
-                return fork.Pool(processes)
+                return fork.Pool(processes, **kwargs)
 
         monkeypatch.setattr(campaign.multiprocessing, "get_context", lambda method: Recording())
         cpus = os.cpu_count() or 1
@@ -213,6 +213,23 @@ class TestRunCampaign:
         pooled = run_campaign(cfg, processes=processes)
         assert sizes == ([cpus] if cpus > 1 else [])
         assert pooled.digest == run_campaign(cfg, processes=1).digest
+
+    def test_warm_up_stays_out_of_the_results(self, monkeypatch):
+        cfg = CampaignConfig(cases=4, max_size=6, max_len=6, seed=1)
+        clean = run_campaign(cfg)
+        calls = []
+        real = campaign.run_case
+
+        def counting(cfg, index):
+            calls.append(index)
+            return real(cfg, index)
+
+        monkeypatch.setattr(campaign, "run_case", counting)
+        result = run_campaign(cfg)
+        assert calls == [0, 0, 1, 2, 3]  # case 0 once untimed, then every case
+        assert result.payload == clean.payload
+        assert result.failure_count == 0
+        assert sorted(i for _, i in result.slowest) == [0, 1, 2, 3]
 
     def test_failure_reported(self, monkeypatch):
         # force the engine to lie about one specific case

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from pathcheck import builder, contraction, rows
+from pathcheck import builder, contraction, formula, rows
 from pathcheck.circuit import G_VAR
 from pathcheck.contraction import (
     ROOT,
@@ -18,10 +18,11 @@ from pathcheck.contraction import (
 )
 from pathcheck.errors import (
     ContractionError,
-    FormulaError,
     TraceError,
     UnknownProposition,
 )
+from pathcheck.campaign import CampaignConfig, case_seed, random_formula
+from pathcheck.campaign import random_trace as campaign_trace
 from pathcheck.formula import Binary, is_literal, parse, prune_bounds, to_pnf
 from pathcheck.semantics import eval_seq
 from pathcheck.trace import Trace, make_trace
@@ -30,6 +31,7 @@ from gates import apply, constants_are_sinks, is_identity
 from helpers import random_builder_label, shuffle_plans, truth_table
 from test_builder import random_trace
 from test_formula import formulas
+from test_referee import stages
 from test_semantics import bits_trace, traces
 
 NESTED_UNTIL = "((a U b) U (c U d)) U e"
@@ -145,10 +147,20 @@ class TestInitTree:
         assert t.literal_bits[leaves[0]].tolist() == [True, False]
         assert t.literal_bits[leaves[1]].tolist() == [False, True]
 
-    def test_rejects_non_pnf(self):
-        tr = bits_trace(a="01", b="10")
-        with pytest.raises(FormulaError):
-            init_tree(parse("! (a U b)"), tr)
+    def test_non_pnf_reads_as_its_pnf(self):
+        # a negation folds into the duals below it: every stage's structure,
+        # leaf numbers and label bytes are those of the pruned PNF, bounds
+        # above n included
+        rng = random.Random(19)
+        for text in ("! (a U b)", "! ! a", "! X ! (a S[2] b)", "! (a R[9] (b T[40] ! c))"):
+            f = parse(text)
+            for n in (1, 2, 3, 5, 12):
+                tr = random_trace(rng, n, names=("a", "b", "c"))
+                assert stages(f, tr) == stages(prune_bounds(to_pnf(f), n), tr), (text, n)
+        t = init_tree(parse("! X ! (a S[2] b)"), random_trace(rng, 5, names=("a", "b")))
+        verify_tree(t)
+        assert t.node_formula[1] == parse("a S[2] b")
+        assert t.edge_formula[1] == parse("! X ! (a S[2] b)")
 
     @settings(max_examples=80, deadline=None)
     @given(formulas(), traces())
@@ -160,10 +172,32 @@ class TestInitTree:
             if v != ROOT:
                 assert len(ch) == 2
 
-    def test_rejects_non_pnf_below_a_chain(self):
+    def test_non_pnf_below_a_chain_reads_as_its_pnf(self):
         tr = bits_trace(a="01", b="10", c="11")
-        with pytest.raises(FormulaError, match="positive normal form"):
-            init_tree(parse("X wY (a U (c & ! (a | b)))"), tr)
+        f = parse("X wY (a U (c & ! (a | b)))")
+        assert stages(f, tr) == stages(prune_bounds(to_pnf(f), len(tr)), tr)
+        t = init_tree(f, tr)
+        verify_tree(t)
+        # preorder over the PNF: 0 X, 1 wY, 2 U, 3 a, 4 &, 5 c, 6 the dual of
+        # |, 7 and 8 the negated literals
+        assert sorted(t.node_formula) == [2, 3, 4, 5, 6, 7, 8]
+        assert t.node_formula[6] == parse("! (a | b)")
+        assert t.node_formula[7] == parse("! a")
+        assert t.literal_bits[8].tolist() == [False, True]
+
+    def test_campaign_formulas_read_as_their_pnf(self):
+        cfg = CampaignConfig()
+        for index in range(500):
+            rng = random.Random(case_seed(19, index))
+            f = random_formula(rng, cfg.max_size, cfg.max_bound)
+            tr = campaign_trace(rng, cfg.max_len)
+            assert stages(f, tr) == stages(prune_bounds(to_pnf(f), len(tr)), tr), index
+
+    @settings(max_examples=100, deadline=None)
+    @given(formulas(max_leaves=12), traces())
+    def test_any_formula_reads_as_its_pnf(self, f, tr):
+        assert stages(f, tr) == stages(prune_bounds(to_pnf(f), len(tr)), tr)
+        verify_tree(init_tree(f, tr))
 
     @settings(max_examples=100, deadline=None)
     @given(formulas(), traces())
@@ -549,8 +583,35 @@ class TestCheck:
     def test_unknown_atom_both_engines(self):
         tr = bits_trace(a="1")
         for engine in ("circuit", "naive"):
-            with pytest.raises(UnknownProposition):
+            with pytest.raises(UnknownProposition, match="'z'"):
                 check(parse("z"), tr, engine=engine)
+            # the sorted-first unknown name, not the first one the walk reaches
+            with pytest.raises(UnknownProposition, match="'y'"):
+                check(parse("z U (y & a)"), tr, engine=engine)
+
+    def test_unknown_atom_before_any_column(self, monkeypatch):
+        tr = bits_trace(a="1")
+        calls = []
+        monkeypatch.setattr(contraction, "atom_sequence", lambda *args: calls.append(args))
+        with pytest.raises(UnknownProposition, match="'y'"):
+            check(parse("a & ! z U (y & a)"), tr)
+        assert calls == []
+
+    def test_circuit_check_calls_no_fold(self, monkeypatch):
+        tr = bits_trace(a="0110", b="1011")
+        f = parse("! (a U[2] X ! b) & Y ! (a S[9] ! b)")
+        calls = []
+        real = formula.fold
+
+        def counting(*args):
+            calls.append(args[0])
+            return real(*args)
+
+        monkeypatch.setattr(formula, "fold", counting)
+        got = check(f, tr)
+        assert calls == []
+        assert got == check(f, tr, engine="naive")
+        assert calls  # the naive engine's name check walks through the counter
 
     def test_empty_trace(self):
         empty = Trace(np.zeros((1, 0), dtype=bool), ("a",))

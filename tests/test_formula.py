@@ -24,7 +24,6 @@ from pathcheck.formula import (
     format_formula,
     is_literal,
     is_pnf,
-    literal_parts,
     parse,
     prune_bounds,
     size,
@@ -258,13 +257,11 @@ class TestSize:
 
 
 class TestLiterals:
-    def test_literal_parts(self):
-        assert literal_parts(Atom("p")) == ("p", False)
-        assert literal_parts(Not(Atom("p"))) == ("p", True)
+    def test_is_literal(self):
+        assert is_literal(Atom("p"))
         assert is_literal(Not(Atom("p")))
         assert not is_literal(Not(Not(Atom("p"))))
-        with pytest.raises(FormulaError):
-            literal_parts(parse("a & b"))
+        assert not is_literal(parse("a & b"))
 
 
 def test_atom_names():
