@@ -42,11 +42,12 @@ class ContractionTree:
 
     Nodes are identified by their preorder index in the formula's PNF, unary
     occurrences counted (`init_tree`); ROOT (-1) marks the region above the
-    topmost node. `labels[v]` is the row label on the edge from v's parent
-    down to v, and `edge_formula[v]` is the subformula whose sequence that
-    edge must emit when fed v's sequence (it differs from v's own formula
-    exactly when the edge swallowed unary operators, and is inherited when
-    edges merge).
+    topmost node. `children[v]` lists v's children left to right, so a
+    node's side is its index there. `labels[v]` is the row label on the edge
+    from v's parent down to v, and `edge_formula[v]` is the subformula whose
+    sequence that edge must emit when fed v's sequence (it differs from v's
+    own formula exactly when the edge swallowed unary operators, and is
+    inherited when edges merge).
     """
 
     __slots__ = (
@@ -54,7 +55,6 @@ class ContractionTree:
         "n",
         "node_formula",
         "parent",
-        "slot",
         "children",
         "labels",
         "edge_formula",
@@ -67,7 +67,6 @@ class ContractionTree:
         self.n = len(trace)
         self.node_formula: dict[int, Formula] = {}
         self.parent: dict[int, int] = {}
-        self.slot: dict[int, int] = {}
         self.children: dict[int, list[int]] = {}
         self.labels: dict[int, Label] = {}
         self.edge_formula: dict[int, Formula] = {}
@@ -80,7 +79,6 @@ class ContractionTree:
         t.n = self.n
         t.node_formula = dict(self.node_formula)
         t.parent = dict(self.parent)
-        t.slot = dict(self.slot)
         t.children = {k: list(v) for k, v in self.children.items()}
         t.labels = dict(self.labels)
         t.edge_formula = dict(self.edge_formula)
@@ -138,8 +136,7 @@ def init_tree(f: Formula, trace: Trace) -> ContractionTree:
             tree.labels[node] = builder.build_shifts(n, shifts)
             tree.edge_formula[node] = Not(u) if uneg else u
         tree.parent[node] = parent
-        tree.slot[node] = len(tree.children[parent])  # left is reached first
-        tree.children[parent].append(node)
+        tree.children[parent].append(node)  # left is reached first
         if isinstance(g, Binary):
             tree.children[node] = []
             todo += [(g.right, neg, node, None), (g.left, neg, node, None)]
@@ -183,16 +180,16 @@ def _plan(tree: ContractionTree, leaf: int) -> _Plan:
     p = tree.parent[leaf]
     if p == ROOT:
         raise ContractionError("cannot contract the only remaining leaf")
-    sibling = tree.children[p][1 - tree.slot[leaf]]
+    half = tree.children[p].index(leaf)
+    sibling = tree.children[p][1 - half]
     grandparent = tree.parent[p]
     known = apply(tree.labels[leaf], tree.literal_bits[leaf])
-    side = "left" if tree.slot[leaf] == 0 else "right"
-    partial = _build_partial(tree.node_formula[p], side, known, tree.n)
+    partial = _build_partial(tree.node_formula[p], ("left", "right")[half], known, tree.n)
     # the partial goes on top of the sibling's edge first, so that a raw row
     # is the bottom of `second`, where compose_evaluated folds it
     joined = compose_evaluated(tree.labels[sibling], partial)
     new_label = compose_evaluated(joined, tree.labels[p])
-    return _Plan(leaf, p, sibling, grandparent, tree.slot[p], new_label)
+    return _Plan(leaf, p, sibling, grandparent, tree.children[grandparent].index(p), new_label)
 
 
 def _apply_plan(tree: ContractionTree, plan: _Plan) -> None:
@@ -200,11 +197,9 @@ def _apply_plan(tree: ContractionTree, plan: _Plan) -> None:
     tree.labels[plan.sibling] = plan.new_label
     tree.children[plan.grandparent][plan.parent_slot] = plan.sibling
     tree.parent[plan.sibling] = plan.grandparent
-    tree.slot[plan.sibling] = plan.parent_slot
     for node in (plan.leaf, plan.parent):
         tree.node_formula.pop(node)
         tree.parent.pop(node)
-        tree.slot.pop(node)
         tree.labels.pop(node)
         tree.edge_formula.pop(node)
         tree.children.pop(node, None)
@@ -263,10 +258,12 @@ def run_contraction(
                 f"stage budget {budget} exceeded on {initial} leaves"
             )
         for half in (0, 1):
-            selected = sorted(
-                (leaf for leaf, num in numbers.items() if num & 1 and t.slot[leaf] == half),
-                key=numbers.__getitem__,
-            )
+            # `numbers` keeps its leaves in left-to-right order: `init_tree`
+            # inserts them in preorder, and stages only delete and halve
+            selected = [
+                leaf for leaf, num in numbers.items()
+                if num & 1 and t.children[t.parent[leaf]][half] == leaf
+            ]
             if not selected:
                 continue
             if record is not None:
@@ -312,7 +309,7 @@ def _assert_disjoint(plans: list[_Plan]) -> None:
 def verify_tree(tree: ContractionTree) -> None:
     """Check the tree invariants; raises ContractionError on violation.
 
-    Structure: ROOT has one child, inner nodes two, every parent/slot/child
+    Structure: ROOT has one child, inner nodes two, every parent/child
     pointer agrees, leaves are exactly the literal nodes and carry numbers
     that increase from left to right.
     Labels: every edge holds an n -> n row label that is evaluated
@@ -349,9 +346,8 @@ def verify_tree(tree: ContractionTree) -> None:
                 raise ContractionError(f"inner node {v} must have two children")
             if is_literal(tree.node_formula[v]):
                 raise ContractionError(f"inner node {v} is a literal")
-            for idx, c in enumerate(ch):
-                if tree.parent.get(c) != v or tree.slot.get(c) != idx:
-                    raise ContractionError(f"child pointers of {v} are inconsistent")
+            if any(tree.parent.get(c) != v for c in ch):
+                raise ContractionError(f"child pointers of {v} are inconsistent")
             stack += reversed(ch)  # the left child is popped first
     if seen != live:
         raise ContractionError("tree does not reach every live node")

@@ -9,10 +9,9 @@ the current position. The unary steps are Next/Yesterday (strong: the
 neighbour position must exist) and WeakNext/WeakYesterday (weak: true at
 the trace edge).
 
-Nothing here recurses: the transforms, equality, hashing, repr and
-pickling are walks over an explicit stack (mostly `fold`), and `parse` is
-one loop over an operator stack, so the nesting depth of a formula is
-limited only by the size of its text.
+Nothing here recurses: the transforms and repr walk an explicit stack (as
+`fold` and `Formula._nodes` do), and `parse` is one loop over an operator
+stack, so the nesting depth of a formula is limited only by its text.
 """
 
 from __future__ import annotations
@@ -34,41 +33,37 @@ V = TypeVar("V")
 
 class Formula:
     """Base class; every node is a frozen dataclass below. Equality, hashing,
-    repr and pickling walk the formula over an explicit stack, as the
-    transforms do. Two nodes are equal when their classes, names, bounds and
-    children are, so `Until(a, b) != Release(a, b)` and `a U[0] b` is not
+    pickling, `atom_names`, `size` and `is_pnf` read one encoding, the node
+    list `_nodes`; with each class's arity it decodes to exactly one tree
+    (`_unflatten`), so `Until(a, b) != Release(a, b)` and `a U[0] b` is not
     `a U b`."""
 
     __slots__ = ()
 
+    def _nodes(self) -> list[tuple]:
+        """(class, name) for an atom, (class, bound) for an operator, children
+        first, the right one first: the preorder `fold` walks, reversed."""
+        nodes = []
+        todo = [self]
+        while todo:
+            f = todo.pop()
+            if isinstance(f, Binary):
+                nodes.append((type(f), f.bound))
+                todo += [f.right, f.left]
+            elif isinstance(f, Unary):
+                nodes.append((type(f), None))
+                todo.append(f.child)
+            else:
+                nodes.append((Atom, f.name))
+        return nodes[::-1]
+
     def __eq__(self, other):
         if not isinstance(other, Formula):
             return NotImplemented
-        todo = [(self, other)]
-        while todo:
-            f, g = todo.pop()
-            if f is g:
-                continue
-            if type(f) is not type(g):
-                return False
-            if isinstance(f, Atom):
-                if f.name != g.name:
-                    return False
-            elif isinstance(f, Unary):
-                todo.append((f.child, g.child))
-            elif f.bound != g.bound:
-                return False
-            else:
-                todo += [(f.right, g.right), (f.left, g.left)]
-        return True
+        return self is other or self._nodes() == other._nodes()
 
     def __hash__(self):
-        return fold(
-            self,
-            lambda node, neg: hash((Atom, node.name)),
-            lambda node, child, neg: hash((type(node), child)),
-            lambda node, left, right, neg: hash((type(node), left, right, node.bound)),
-        )
+        return hash(tuple(self._nodes()))
 
     def __repr__(self):
         """The dataclass repr, for example `Until(left=Atom(name='a'),
@@ -91,19 +86,11 @@ class Formula:
         return "".join(parts)
 
     def __reduce__(self):
-        """Pickle as the flat list of nodes `fold` visits, children first."""
-        nodes = []
-        fold(
-            self,
-            lambda node, neg: nodes.append((Atom, node.name)),
-            lambda node, child, neg: nodes.append((type(node), None)),
-            lambda node, left, right, neg: nodes.append((type(node), node.bound)),
-        )
-        return _unflatten, (nodes,)
+        return _unflatten, (self._nodes(),)
 
 
 def _unflatten(nodes: list[tuple]) -> Formula:
-    """The formula `Formula.__reduce__` flattened, rebuilt over a stack."""
+    """The formula whose `Formula._nodes` list this is, rebuilt over a stack."""
     values = []
     for cls, arg in nodes:
         if cls is Atom:
@@ -396,13 +383,10 @@ def to_pnf(f: Formula) -> Formula:
 
 
 def is_pnf(f: Formula) -> bool:
-    """True when negation only occurs directly on atoms."""
-    return fold(
-        f,
-        lambda node, neg: True,
-        lambda node, child, neg: type(node.child) is Atom if type(node) is Not else child,
-        lambda node, left, right, neg: left and right,
-    )
+    """True when negation only occurs directly on atoms: in post-order the
+    node just before a unary node is its child."""
+    nodes = f._nodes()
+    return all(nodes[i - 1][0] is Atom for i, (cls, _) in enumerate(nodes) if cls is Not)
 
 
 def prune_bounds(f: Formula, n: int) -> Formula:
@@ -427,19 +411,9 @@ def prune_bounds(f: Formula, n: int) -> Formula:
 
 def size(f: Formula) -> int:
     """Node count, with a bounded operator counting as 1 + its bound."""
-    return fold(
-        f,
-        lambda node, neg: 1,
-        lambda node, child, neg: 1 + child,
-        lambda node, left, right, neg: 1 + left + right + (0 if node.bound is None else node.bound),
-    )
+    return sum(1 if cls is Atom or arg is None else 1 + arg for cls, arg in f._nodes())
 
 
 def atom_names(f: Formula) -> set[str]:
     """Every proposition name the formula mentions (reserved ones included)."""
-    return fold(
-        f,
-        lambda node, neg: {node.name},
-        lambda node, child, neg: child,
-        lambda node, left, right, neg: left | right,
-    )
+    return {arg for cls, arg in f._nodes() if cls is Atom}

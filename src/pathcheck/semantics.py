@@ -51,9 +51,9 @@ def _atom_holds(trace: Trace, name: str, i: int) -> bool:
         return True
     if name == FALSE_NAME:
         return False
-    if name not in trace.alphabet:
+    if name not in trace.row_of:
         raise UnknownProposition(f"proposition {name!r} is not in the trace alphabet")
-    return name in trace.states[i]
+    return bool(trace.columns[trace.row_of[name], i])
 
 
 def holds_at(trace: Trace, f: Formula, i: int) -> bool:
@@ -129,11 +129,9 @@ def _seq(trace: Trace, f: Formula) -> np.ndarray:
             return np.ones(n, dtype=bool)
         if node.name == FALSE_NAME:
             return np.zeros(n, dtype=bool)
-        if node.name not in trace.alphabet:
-            raise UnknownProposition(
-                f"proposition {node.name!r} is not in the trace alphabet"
-            )
-        return trace.columns[trace.alphabet.index(node.name)]
+        if node.name not in trace.row_of:
+            raise UnknownProposition(f"proposition {node.name!r} is not in the trace alphabet")
+        return trace.columns[trace.row_of[node.name]]
 
     def unary(node: Formula, child: np.ndarray, neg: bool) -> np.ndarray:
         cls = type(node)

@@ -5,7 +5,8 @@ shape (len(alphabet), n): row j is proposition alphabet[j] along the trace.
 The loaders fill that matrix directly. `atom_sequence` hands a literal its
 row (a view) or the row's negation, so the circuit engine reads its input
 without a copy. `states`, one frozenset of true propositions per position,
-is derived from the matrix on first use and cached.
+and `row_of`, the row of each name (an O(1) lookup for any alphabet), are
+derived on first use and cached.
 """
 
 from __future__ import annotations
@@ -65,6 +66,11 @@ class Trace:
     def states(self) -> tuple[frozenset[str], ...]:
         """The set of true propositions at each position."""
         return tuple(frozenset(compress(self.alphabet, bits)) for bits in self.columns.T.tolist())
+
+    @cached_property
+    def row_of(self) -> dict[str, int]:
+        """The row of `columns` that holds each name of the alphabet."""
+        return {name: j for j, name in enumerate(self.alphabet)}
 
 
 def make_trace(states, alphabet=None) -> Trace:
@@ -246,7 +252,7 @@ def atom_sequence(trace: Trace, name: str, negated: bool = False) -> np.ndarray:
         bits = np.full(len(trace), (name == TRUE_NAME) != negated)
     else:
         require_known(trace, (name,))
-        bits = trace.columns[trace.alphabet.index(name)]
+        bits = trace.columns[trace.row_of[name]]
         if not negated:
             return bits
         bits = ~bits
@@ -257,6 +263,6 @@ def atom_sequence(trace: Trace, name: str, negated: bool = False) -> np.ndarray:
 def require_known(trace: Trace, names) -> None:
     """Raise UnknownProposition for the first name, in sorted order, that is
     neither reserved nor in the trace alphabet."""
-    unknown = sorted(set(names).difference(RESERVED_NAMES, trace.alphabet))
+    unknown = sorted({name for name in names if name not in trace.row_of} - RESERVED_NAMES)
     if unknown:
         raise UnknownProposition(f"proposition {unknown[0]!r} is not in the trace alphabet")

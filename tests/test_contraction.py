@@ -87,8 +87,8 @@ class TestInitTree:
         assert not t.is_leaf(0) and not t.is_leaf(1)
         assert leaves_left_to_right(t) == [2, 3, 4]
         assert t.leaf_numbers == {2: 0, 3: 1, 4: 2}
-        assert t.parent[1] == 0 and t.slot[1] == 0
-        assert t.parent[4] == 0 and t.slot[4] == 1
+        assert t.parent[1] == 0 and t.children[0].index(1) == 0
+        assert t.parent[4] == 0 and t.children[0].index(4) == 1
         assert t.top() == 0
 
     def test_all_identity_labels_without_unary(self):
@@ -473,7 +473,7 @@ class TestRawRowUnderShift:
         tr = random_trace(rng, n)
         tree = init_tree(prune_bounds(to_pnf(parse(text)), n), tr)
         leaf_b = leaves_left_to_right(tree)[1]
-        assert tree.slot[leaf_b] == 1
+        assert tree.children[tree.parent[leaf_b]].index(leaf_b) == 1
         assert not is_identity(tree.labels[tree.parent[leaf_b]])
         stages = []
 
@@ -611,7 +611,8 @@ class TestCheck:
         got = check(f, tr)
         assert calls == []
         assert got == check(f, tr, engine="naive")
-        assert calls  # the naive engine's name check walks through the counter
+        formula.format_formula(f)
+        assert calls  # a walk through `fold` shows in the counter
 
     def test_empty_trace(self):
         empty = Trace(np.zeros((1, 0), dtype=bool), ("a",))

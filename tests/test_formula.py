@@ -21,6 +21,7 @@ from pathcheck.formula import (
     WeakYesterday,
     Yesterday,
     atom_names,
+    fold,
     format_formula,
     is_literal,
     is_pnf,
@@ -312,3 +313,52 @@ class TestDeepFormulas:
             assert hash(f) == hash(g)
         back = pickle.loads(pickle.dumps(f))
         assert back == f and type(back) is type(f) and repr(back) == repr(f)
+
+
+# The fold versions of the flat readers, kept as their referee.
+def fold_atom_names(f):
+    return fold(
+        f,
+        lambda node, neg: {node.name},
+        lambda node, child, neg: child,
+        lambda node, left, right, neg: left | right,
+    )
+
+
+def fold_size(f):
+    return fold(
+        f,
+        lambda node, neg: 1,
+        lambda node, child, neg: 1 + child,
+        lambda node, left, right, neg: 1 + left + right + (0 if node.bound is None else node.bound),
+    )
+
+
+def fold_is_pnf(f):
+    return fold(
+        f,
+        lambda node, neg: True,
+        lambda node, child, neg: type(node.child) is Atom if type(node) is Not else child,
+        lambda node, left, right, neg: left and right,
+    )
+
+
+class TestNodeList:
+    """`atom_names`, `size` and `is_pnf` read `Formula._nodes`, as `==`,
+    `hash` and pickling do (`TestDeepFormulas.test_methods_agree_with_structure`)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(formulas())
+    def test_readers_match_the_fold_referee(self, f):
+        assert atom_names(f) == fold_atom_names(f)
+        assert size(f) == fold_size(f)
+        assert is_pnf(f) == fold_is_pnf(f)
+
+    def test_nodes_decode_to_one_tree(self):
+        f = parse("(a U[2] ! b) & X (c S d)")
+        assert f._nodes() == [
+            (Atom, "d"), (Atom, "c"), (Since, None), (Next, None),
+            (Atom, "b"), (Not, None), (Atom, "a"), (Until, 2), (And, None),
+        ]
+        assert pickle.loads(pickle.dumps(f)) == f
+        assert is_pnf(f) and not is_pnf(parse("! X a")) and not is_pnf(parse("a & ! ! b"))

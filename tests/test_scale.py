@@ -1,6 +1,7 @@
 """Correctness at scale: both engines agree on traces of 10^4 and 10^5
-states, also with bounds near n, the oracle's memory stays linear in n, and
-formulas nested 10^4 deep parse and check on both engines."""
+states, also with bounds near n, the oracle's memory stays linear in n,
+formulas nested 10^4 deep parse and check on both engines, and formulas of
+tens of thousands of distinct names stay linear in their size."""
 
 import tracemalloc
 
@@ -9,7 +10,7 @@ import pytest
 
 from pathcheck import check, parse
 from pathcheck.contraction import init_tree, run_contraction
-from pathcheck.formula import prune_bounds, to_pnf
+from pathcheck.formula import atom_names, prune_bounds, to_pnf
 from pathcheck.semantics import eval_array
 from pathcheck.trace import Trace
 
@@ -103,3 +104,17 @@ def test_deep_nesting(name, engine):
     tr = Trace(np.array([[True, False, True, True]]), ("a",))
     seq = check(parse(text), tr, engine=engine).sequence
     assert np.array_equal(seq, expected(tr.columns[0]))
+
+
+def test_atom_names_of_a_wide_conjunction():
+    names = [f"p{i}" for i in range(50_000)]
+    assert atom_names(parse(" & ".join(names))) == set(names)
+
+
+def test_wide_alphabet():
+    # every literal looks its name up in an alphabet of 20,000 names
+    names = tuple(f"p{i}" for i in range(20_000))
+    tr = Trace(np.ones((len(names), 16), dtype=bool), names)
+    f = parse(" & ".join(names))
+    circuit, naive = check(f, tr), check(f, tr, engine="naive")
+    assert circuit.satisfied and naive.satisfied and circuit == naive
