@@ -26,14 +26,12 @@ from .formula import (
     WeakYesterday,
     Yesterday,
     format_formula,
-    is_pnf,
     parse,
     prune_bounds,
-    size,
     to_pnf,
 )
 from .trace import Trace, atom_sequence, load_trace, make_trace, to_csv
-from .semantics import eval_seq, holds_at
+from .semantics import eval_seq
 from .circuit import Circuit, to_dot
 from .rows import Label, apply, compose_evaluated, identity
 from .builder import (
@@ -47,7 +45,6 @@ from .contraction import (
     ContractionRecord,
     ContractionTree,
     check,
-    contract_step,
     init_tree,
     run_contraction,
     verify_tree,

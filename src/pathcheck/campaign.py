@@ -87,9 +87,9 @@ def case_seed(seed: int, index: int) -> int:
 
 
 def random_formula(rng: random.Random, budget: int, max_bound: int, alphabet=ALPHABET) -> Formula:
-    """A random formula with size at most `budget` (bounded operators cost
-    1 + bound). Constructors are drawn uniformly, with an extra 20% slice
-    going to bounded operators whenever the budget allows one."""
+    """A random formula of size at most `budget`, counting 1 per node and
+    1 + b for an operator bounded by b. Constructors are drawn uniformly,
+    with an extra 20% slice going to bounded operators when the budget allows."""
     if budget <= 1:
         return Atom(rng.choice(alphabet))
     if budget >= 3 and rng.random() < 0.2:

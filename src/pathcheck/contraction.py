@@ -175,11 +175,8 @@ def _build_partial(f: Formula, known_side: str, known, n: int) -> Label:
 
 
 def _plan(tree: ContractionTree, leaf: int) -> _Plan:
-    if leaf not in tree.node_formula or not tree.is_leaf(leaf):
-        raise ContractionError(f"node {leaf} is not a live leaf")
+    """The plan that contracts `leaf`, a live leaf whose parent is not ROOT."""
     p = tree.parent[leaf]
-    if p == ROOT:
-        raise ContractionError("cannot contract the only remaining leaf")
     half = tree.children[p].index(leaf)
     sibling = tree.children[p][1 - half]
     grandparent = tree.parent[p]
@@ -205,13 +202,6 @@ def _apply_plan(tree: ContractionTree, plan: _Plan) -> None:
         tree.children.pop(node, None)
     tree.literal_bits.pop(plan.leaf, None)
     tree.leaf_numbers.pop(plan.leaf, None)
-
-
-def contract_step(tree: ContractionTree, leaf: int) -> ContractionTree:
-    """One leaf contraction, returning a new tree (the input is unchanged)."""
-    out = tree.copy()
-    _apply_plan(out, _plan(tree, leaf))
-    return out
 
 
 @dataclass

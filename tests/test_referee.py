@@ -19,7 +19,7 @@ from pathcheck.campaign import random_trace as campaign_trace
 from pathcheck.formula import prune_bounds, to_pnf
 
 import referee
-from helpers import random_builder_label, random_label
+from helpers import contract_step, random_builder_label, random_label
 from test_builder import random_trace
 from test_formula import formulas
 
@@ -141,10 +141,10 @@ def test_contract_step_matches_referee():
         tree = contraction.init_tree(g, tr)
         while len(tree.leaf_numbers) > 1:
             leaf = rng.choice(sorted(tree.leaf_numbers))
-            mine = contraction.contract_step(tree, leaf)
+            mine = contract_step(tree, leaf)
             with pytest.MonkeyPatch.context() as mp:
                 referee.install(mp, contraction)
-                theirs = contraction.contract_step(tree, leaf)
+                theirs = contract_step(tree, leaf)
             assert {v: label_bytes(x) for v, x in mine.labels.items()} == {
                 v: label_bytes(x) for v, x in theirs.labels.items()
             }

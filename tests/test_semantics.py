@@ -5,11 +5,97 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pathcheck.errors import UnknownProposition
-from pathcheck.formula import format_formula, parse, prune_bounds, to_pnf
-from pathcheck.semantics import eval_seq, holds_at, next_true, prev_true
+from pathcheck.formula import (
+    FALSE_NAME,
+    TRUE_NAME,
+    And,
+    Atom,
+    Formula,
+    Next,
+    Not,
+    Or,
+    Release,
+    Since,
+    Trigger,
+    Until,
+    WeakNext,
+    WeakYesterday,
+    Yesterday,
+    format_formula,
+    parse,
+    prune_bounds,
+    to_pnf,
+)
+from pathcheck.semantics import eval_seq, next_true, prev_true
 from pathcheck.trace import Trace, make_trace
 
 from test_formula import formulas
+
+
+# The literal recursive reading of the satisfaction relation, the referee
+# `eval_seq` is tested against.
+def _atom_holds(trace: Trace, name: str, i: int) -> bool:
+    if name == TRUE_NAME:
+        return True
+    if name == FALSE_NAME:
+        return False
+    if name not in trace.row_of:
+        raise UnknownProposition(f"proposition {name!r} is not in the trace alphabet")
+    return bool(trace.columns[trace.row_of[name], i])
+
+
+def holds_at(trace: Trace, f: Formula, i: int) -> bool:
+    """Does the trace satisfy f at position i? Literal recursion, one level
+    per nesting level; only suitable for small formulas and short traces."""
+    n = len(trace)
+    if not 0 <= i < n:
+        raise ValueError(f"position {i} outside trace of length {n}")
+    if isinstance(f, Atom):
+        return _atom_holds(trace, f.name, i)
+    if isinstance(f, Not):
+        return not holds_at(trace, f.child, i)
+    if isinstance(f, And):
+        return holds_at(trace, f.left, i) and holds_at(trace, f.right, i)
+    if isinstance(f, Or):
+        return holds_at(trace, f.left, i) or holds_at(trace, f.right, i)
+    if isinstance(f, Next):
+        return i + 1 < n and holds_at(trace, f.child, i + 1)
+    if isinstance(f, WeakNext):
+        return i + 1 == n or holds_at(trace, f.child, i + 1)
+    if isinstance(f, Yesterday):
+        return i - 1 >= 0 and holds_at(trace, f.child, i - 1)
+    if isinstance(f, WeakYesterday):
+        return i - 1 < 0 or holds_at(trace, f.child, i - 1)
+    if isinstance(f, Until):
+        hi = n - 1 if f.bound is None else min(i + f.bound, n - 1)
+        return any(
+            holds_at(trace, f.right, j)
+            and all(holds_at(trace, f.left, k) for k in range(i, j))
+            for j in range(i, hi + 1)
+        )
+    if isinstance(f, Release):
+        hi = n - 1 if f.bound is None else min(i + f.bound, n - 1)
+        return all(
+            holds_at(trace, f.right, j)
+            or any(holds_at(trace, f.left, k) for k in range(i, j))
+            for j in range(i, hi + 1)
+        )
+    if isinstance(f, Since):
+        lo = 0 if f.bound is None else max(i - f.bound, 0)
+        return any(
+            holds_at(trace, f.right, j)
+            and all(holds_at(trace, f.left, k) for k in range(j + 1, i + 1))
+            for j in range(lo, i + 1)
+        )
+    if isinstance(f, Trigger):
+        lo = 0 if f.bound is None else max(i - f.bound, 0)
+        return all(
+            holds_at(trace, f.right, j)
+            or any(holds_at(trace, f.left, k) for k in range(j + 1, i + 1))
+            for j in range(lo, i + 1)
+        )
+    raise TypeError(f"unknown formula node {f!r}")
+
 
 
 def bits_trace(**columns):

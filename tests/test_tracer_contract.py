@@ -1,11 +1,12 @@
-"""The names and shapes pathbench's traced run reads from the program.
+"""The names and shapes pathbench reads from the program.
 
 `pathbench/tracer.py` wraps functions by name and reads label gates in its
-stage census; this keeps those lookups working. Nothing is installed or
-patched: the tracer module is only read and its census run on a copy of a
-contraction's stages.
+stage census, and the other scripts import names from the program; this
+keeps those lookups working. Nothing is installed or patched: the tracer
+module is only read and its census run on a copy of a contraction's stages.
 """
 
+import ast
 import importlib.util
 import random
 from pathlib import Path
@@ -24,6 +25,7 @@ from pathcheck.formula import (
     prune_bounds,
     to_pnf,
 )
+from pathcheck.trace import make_trace
 
 from test_builder import random_trace
 
@@ -48,6 +50,24 @@ def test_wrapped_names_exist():
     # the spans on contraction's compose, identity and apply time the row code
     for name in ("compose_evaluated", "identity", "apply"):
         assert getattr(contraction, name) is getattr(rows, name)
+
+
+def test_benchmark_imports_resolve():
+    """Every `from pathcheck... import name` in a pathbench script names
+    something the program defines, and the campaign workload's
+    `Trace.states` is there."""
+    imported = [
+        (path.name, node.module, alias.name)
+        for path in sorted(PATHBENCH.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("pathcheck")
+        for alias in node.names
+    ]
+    for script, module, name in imported:
+        assert hasattr(importlib.import_module(module), name), (script, module, name)
+    assert ("workloads.py", "pathcheck.campaign", "random_formula") in imported
+    assert ("figures.py", "pathcheck.formula", "to_pnf") in imported
+    assert make_trace([{"a"}, set()], ["a"]).states == (frozenset({"a"}), frozenset())
 
 
 def test_census_runs_on_every_stage():
