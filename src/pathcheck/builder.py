@@ -75,9 +75,11 @@ def build_shifts(n: int, ops) -> Label:
     if len(hits) == n:  # the outermost step's own indices
         offset, lo, hi = (1 if ops[-1] in ("X", "wX") else -1), 0, n - 1
         top = max(hits.values())
-    a = positions(n) + offset
-    np.maximum(a, lo, out=a)
-    np.minimum(a, hi, out=a)
+    # i + offset rises with i, so the clamp sets a prefix to lo, then a
+    # suffix to hi
+    a = np.arange(offset, n + offset)
+    a[: max(lo - offset, 0)] = lo
+    a[max(hi - offset + 1, 0):] = hi
     return Label(n, (Row(kind, a, top=top, consts=len(hits)),))
 
 
@@ -91,11 +93,11 @@ def build_boolean(n: int, op: str, known) -> Label:
         raise BuildError(f"unknown boolean operator {op!r}")
     known = _known(n, known)
     absorbing = op == "|"  # the known value that decides the output
-    decided = known == absorbing
-    constant = TRUE if absorbing else FALSE
-    kind = np.where(decided, constant, ID).astype(np.uint8)
-    consts = int(np.count_nonzero(decided))
-    top = ID if consts < n else constant
+    kind = _BOOLEAN_KINDS[absorbing].take(known.view(np.uint8))
+    consts = int(np.count_nonzero(known))
+    if not absorbing:
+        consts = n - consts
+    top = ID if consts < n else TRUE if absorbing else FALSE
     return Label(n, (Row(kind, positions(n), top=top, consts=consts),))
 
 
@@ -108,27 +110,42 @@ def _known(n: int, known) -> np.ndarray:
     return known
 
 
-# (U or S, right operand known) -> cell kinds where the known bit is
-# (True, False), from the one-step expansion with the known side substituted.
-# ID cells read the variable at their position; chain cells read it and the
-# neighbouring output.
+# Cell kinds by the known bit (False, True), as uint8 tables that the known
+# sequence is looked up in.
+#
+# A boolean row by its absorbing value (True for |): the constant where the
+# known bit decides the output, else an ID of the variable.
+_BOOLEAN_KINDS = {True: np.array([ID, TRUE], dtype=np.uint8), False: np.array([FALSE, ID], dtype=np.uint8)}
+# An unbounded chain row by (U or S, right operand known), from the one-step
+# expansion with the known side substituted: ID cells read the variable at
+# their position; chain cells read it and the neighbouring output.
 _CHAIN_KINDS = {
-    (True, True): (TRUE, CHAIN_AND),
-    (True, False): (CHAIN_OR, ID),
-    (False, True): (CHAIN_OR, FALSE),
-    (False, False): (ID, CHAIN_AND),
+    (True, True): np.array([CHAIN_AND, TRUE], dtype=np.uint8),
+    (True, False): np.array([ID, CHAIN_OR], dtype=np.uint8),
+    (False, True): np.array([FALSE, CHAIN_OR], dtype=np.uint8),
+    (False, False): np.array([CHAIN_AND, ID], dtype=np.uint8),
 }
+# A bounded grid row by U or S: a binary cell where the known bit is a
+# witness, else an ID of the variable below.
+_GRID_KINDS = {True: np.array([ID, OR], dtype=np.uint8), False: np.array([AND, ID], dtype=np.uint8)}
 
 
 def build_unbounded(n: int, op: str, known_side: str, known) -> Label:
     """Unbounded binary operator with one operand known, as one evaluated
-    chain row.
+    chain row: `_raw_unbounded`'s row, folded, which lets the boundary
+    constant flow into the chain."""
+    return Label(n, (fold(_raw_unbounded(n, op, known_side, known).rows[0]),))
+
+
+def _raw_unbounded(n: int, op: str, known_side: str, known) -> Label:
+    """`build_unbounded`'s chain row before folding, returned raw: chain
+    cells may read constant neighbours, and the contraction settles them
+    once, where the row is composed.
 
     Future operators (U, R) chain output i to output i+1 with the far end at
-    n-1; past operators (S, T) chain to i-1 with the far end at 0. The raw
-    chain rules come from the one-step expansion of each operator with the
-    known side substituted; the row is folded before returning, which lets
-    the boundary constant flow into the chain.
+    n-1; past operators (S, T) chain to i-1 with the far end at 0. The chain
+    rules come from the one-step expansion of each operator with the known
+    side substituted.
     """
     if op not in BINARY_OPS:
         raise BuildError(f"unknown binary operator {op!r}")
@@ -137,13 +154,11 @@ def build_unbounded(n: int, op: str, known_side: str, known) -> Label:
     known = _known(n, known)
     future = op in FUTURE_OPS
     right_known = known_side == "right"
-    on, off = _CHAIN_KINDS[op in ("U", "S"), right_known]
-    kind = np.where(known, on, off).astype(np.uint8)
+    kind = _CHAIN_KINDS[op in ("U", "S"), right_known].take(known.view(np.uint8))
     # the chain's far end: no neighbour to recurse into
     edge = n - 1 if future else 0
     kind[edge] = (TRUE if known[edge] else FALSE) if right_known else ID
-    raw = Row(kind, positions(n), d=1 if future else -1, raw=True)
-    return Label(n, (fold(raw),))
+    return Label(n, (Row(kind, positions(n), d=1 if future else -1, raw=True),))
 
 
 def build_bounded(n: int, op: str, bound: int, known_side: str, known) -> Label:
@@ -153,16 +168,17 @@ def build_bounded(n: int, op: str, bound: int, known_side: str, known) -> Label:
     the result is a single collapsed row: output i is a constant wherever the
     known sequence settles the window, else a chain cell into output i+1
     (future) or i-1 (past). That row is returned raw, without folding: chain
-    cells may read constant neighbours.
+    cells may read constant neighbours, and composing the label settles
+    them, as for `_raw_unbounded`.
 
     With the left operand known, the bound becomes an unrolled grid of
     `bound` identical rows over the variables; each row applies one step of
     the operator's expansion to the row below. Counting the variables as
     grid row `bound` and the output as grid row 0, cell (i, j) is gate
     (bound - j) * n + i of the gate view, where each ID column points
-    straight at its variable. With bound = 0 the operator degenerates to
-    its right operand and the grid is the identity. A bound above n builds
-    as bound n.
+    straight at its variable. Grid rows are evaluated, not raw. With
+    bound = 0 the operator degenerates to its right operand and the grid is
+    the identity. A bound above n builds as bound n.
     """
     if op not in BINARY_OPS:
         raise BuildError(f"unknown binary operator {op!r}")
@@ -177,22 +193,23 @@ def build_bounded(n: int, op: str, bound: int, known_side: str, known) -> Label:
     at = positions(n)
     if known_side == "right":
         # a witness settles output i at once: a known True for U/S, False for R/T
-        witness = known == exists
-        before = np.zeros(n + 1, dtype=np.intp)  # witnesses before each position
-        np.cumsum(witness, out=before[1:])
-        # whether a witness lies in the window from i to i + step * bound
+        witness = known if exists else ~known
+        # how far each position is from the first witness in direction
+        # step, more than the bound when there is none
         if step > 0:
-            in_window = before[np.minimum(at + (bound + 1), n)] > before[:-1]
+            dist = np.minimum.accumulate(np.where(witness, at, n + bound)[::-1])[::-1] - at
         else:
-            in_window = before[1:] > before[np.maximum(at - bound, 0)]
+            dist = at - np.maximum.accumulate(np.where(witness, at, -bound - 1))
         hit, miss, chain = (TRUE, FALSE, CHAIN_AND) if exists else (FALSE, TRUE, CHAIN_OR)
-        kind = np.where(witness, hit, np.where(in_window, chain, miss))
-        return Label(n, (Row(kind.astype(np.uint8), at, d=step, raw=True),))
+        kind = np.where(dist <= bound, np.uint8(chain), np.uint8(miss))
+        kind[witness] = hit
+        return Label(n, (Row(kind, at, d=step, raw=True),))
+    if not bound:
+        return Label(n)
     # a binary cell reads the cell below it and the diagonal neighbour below
     # it; an ID cell reads the cell below it
-    edge = n - 1 if step > 0 else 0  # the edge column has no diagonal
-    kind = np.where(known == exists, OR if exists else AND, ID).astype(np.uint8)
-    kind[edge] = ID
+    kind = _GRID_KINDS[exists].take(known.view(np.uint8))
+    kind[n - 1 if step > 0 else 0] = ID  # the edge column has no diagonal
     row = Row(kind, at, _diagonal(n, step), consts=0)
     return Label(n, (row,) * bound)
 

@@ -89,9 +89,6 @@ class ContractionTree:
     def top(self) -> int:
         return self.children[ROOT][0]
 
-    def is_leaf(self, v: int) -> bool:
-        return v not in self.children
-
 
 def init_tree(f: Formula, trace: Trace) -> ContractionTree:
     """Build the initial tree for a formula, as parsed, over a trace in one
@@ -104,7 +101,8 @@ def init_tree(f: Formula, trace: Trace) -> ContractionTree:
     carries each chain down as nested (operator, polarity, rest) triples,
     and the edge to the first non-unary subformula beneath it gets the whole
     chain as one gather row (`builder.build_shifts`, the row that composing
-    the shifts innermost first would give). Other edges keep the identity.
+    the shifts innermost first would give), built once per distinct chain
+    in the call. Other edges keep the identity.
     Leaves are numbered as preorder reaches them, left to right. Once every
     name is known to the trace, each distinct literal's bit column is built
     once, as a bool array shared by its leaves.
@@ -113,6 +111,7 @@ def init_tree(f: Formula, trace: Trace) -> ContractionTree:
     n = tree.n
     ident = identity(n)
     literals: dict[int, tuple[str, bool]] = {}  # leaf -> (name, negated)
+    shift_rows: dict[tuple[str, ...], Label] = {}  # chain, innermost first -> its row
     tree.children[ROOT] = []
     todo: list[tuple[Formula, bool, int, Optional[tuple]]] = [(f, False, ROOT, None)]
     node = -1
@@ -133,7 +132,10 @@ def init_tree(f: Formula, trace: Trace) -> ContractionTree:
             while chain is not None:
                 u, uneg, chain = chain
                 shifts.append(TOKENS[_DUAL[type(u)] if uneg else type(u)])
-            tree.labels[node] = builder.build_shifts(n, shifts)
+            key = tuple(shifts)
+            if key not in shift_rows:
+                shift_rows[key] = builder.build_shifts(n, key)
+            tree.labels[node] = shift_rows[key]
             tree.edge_formula[node] = Not(u) if uneg else u
         tree.parent[node] = parent
         tree.children[parent].append(node)  # left is reached first
@@ -160,9 +162,11 @@ class _Plan(NamedTuple):
 
 def _build_partial(f: Formula, known_side: str, known, n: int) -> Label:
     """The operator node f (a node Not(g) is g's dual) specialized on its
-    known operand: evaluated, except for the raw collapsed row of a bounded
-    operator with its right side known. A bound of at least n - 1 lets every
-    window reach the trace's end, so that operator is built as unbounded."""
+    known operand: evaluated, except for the raw chain row of an unbounded
+    operator and the raw collapsed row of a bounded operator with its right
+    side known, which the compose settles. A bound of at least n - 1 lets
+    every window reach the trace's end, so that operator is built as
+    unbounded."""
     g = f.child if isinstance(f, Not) else f
     if not isinstance(g, Binary):
         raise ContractionError(f"not a binary operator node: {format_formula(f)}")
@@ -171,7 +175,7 @@ def _build_partial(f: Formula, known_side: str, known, n: int) -> Label:
         return builder.build_boolean(n, op, known)
     if g.bound is not None and g.bound < n - 1:
         return builder.build_bounded(n, op, g.bound, known_side, known)
-    return builder.build_unbounded(n, op, known_side, known)
+    return builder._raw_unbounded(n, op, known_side, known)
 
 
 def _plan(tree: ContractionTree, leaf: int) -> _Plan:
@@ -180,12 +184,13 @@ def _plan(tree: ContractionTree, leaf: int) -> _Plan:
     half = tree.children[p].index(leaf)
     sibling = tree.children[p][1 - half]
     grandparent = tree.parent[p]
-    known = apply(tree.labels[leaf], tree.literal_bits[leaf])
+    edge, known = tree.labels[leaf], tree.literal_bits[leaf]
+    if edge.rows:
+        known = apply(edge, known)
     partial = _build_partial(tree.node_formula[p], ("left", "right")[half], known, tree.n)
-    # the partial goes on top of the sibling's edge first, so that a raw row
-    # is the bottom of `second`, where compose_evaluated folds it
-    joined = compose_evaluated(tree.labels[sibling], partial)
-    new_label = compose_evaluated(joined, tree.labels[p])
+    # the partial goes on top of the sibling's edge, so that a raw row is
+    # the bottom of a later label, where compose_evaluated folds it
+    new_label = compose_evaluated(tree.labels[sibling], partial, tree.labels[p])
     return _Plan(leaf, p, sibling, grandparent, tree.children[grandparent].index(p), new_label)
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Optional, TypeVar
 
 from .errors import FormulaError, ParseError
@@ -243,11 +244,11 @@ def format_formula(f: Formula) -> str:
 
 # --- parsing ---------------------------------------------------------------
 
-# Every character is part of a token or of a run of blanks (no group) once
-# _BAD_RE has found no other character.
-_TOKEN_RE = re.compile(
-    r"(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<nat>[0-9]+)|(?P<punct>[!&|()\[\]])|[ \t\r\n]+"
-)
+# One match per token (an identifier, a natural or a punctuation mark), with
+# the run of blanks before it; once _BAD_RE has found no other character,
+# only trailing blanks are left unmatched.
+_TOKEN_RE = re.compile(r"[ \t\r\n]*([A-Za-z_][A-Za-z0-9_]*|[0-9]+|[!&|()\[\]])")
+_IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 _BAD_RE = re.compile(r"[^A-Za-z0-9_!&|()\[\] \t\r\n]")
 
 # Operator-stack entries are (precedence, class, bound). Prefix operators
@@ -279,6 +280,13 @@ def _error(text: str, offset: int, message: str) -> ParseError:
     return ParseError(message, line, offset - text.rfind("\n", 0, offset))
 
 
+def _token_error(text: str, index: int, message: str) -> ParseError:
+    """A ParseError at the start of token number `index`: the loop reads the
+    tokens' text only, so their positions are matched again here."""
+    m = next(islice(_TOKEN_RE.finditer(text), index, None))
+    return _error(text, m.start(1), message)
+
+
 def _reduce(operands: list[Formula], ops: list[tuple], prec: int) -> None:
     """Apply every stacked operator that binds tighter than `prec`."""
     while ops[-1][0] > prec:
@@ -303,11 +311,7 @@ def parse(text: str) -> Formula:
     ops = [_OPEN]  # the whole text is one group
     depth = 0  # open parentheses
     state = _OPERAND
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind is None:
-            continue
-        tok = m.group()
+    for index, tok in enumerate(_TOKEN_RE.findall(text)):
         if state == _AFTER:
             if tok in _INFIX:
                 prec, cls = _INFIX[tok]
@@ -319,33 +323,33 @@ def parse(text: str) -> Formula:
                 ops.pop()
                 depth -= 1
             elif depth:
-                raise _error(text, m.start(), f"expected ')', got {tok!r}")
+                raise _token_error(text, index, f"expected ')', got {tok!r}")
             else:
-                raise _error(
-                    text, m.start(), f"expected a binary operator or end of input, got {tok!r}"
+                raise _token_error(
+                    text, index, f"expected a binary operator or end of input, got {tok!r}"
                 )
             continue
         if state == _NAT:
-            if kind != "nat":
-                raise _error(text, m.start(), f"bound must be a decimal natural, got {tok!r}")
+            if not tok.isdigit():
+                raise _token_error(text, index, f"bound must be a decimal natural, got {tok!r}")
             prec, cls, _ = ops[-1]
             ops[-1] = (prec, cls, int(tok))
             state = _CLOSE
             continue
         if state == _CLOSE:
             if tok != "]":
-                raise _error(text, m.start(), f"expected ']', got {tok!r}")
+                raise _token_error(text, index, f"expected ']', got {tok!r}")
             state = _OPERAND
             continue
         if tok == "[" and state != _OPERAND:
             if state == _NO_BOUND:
-                raise _error(text, m.start(), f"operator {TOKENS[ops[-1][1]]} does not take a bound")
+                raise _token_error(text, index, f"operator {TOKENS[ops[-1][1]]} does not take a bound")
             state = _NAT
             continue
         state = _OPERAND
         if tok in _PREFIX:
             ops.append((_UNARY_PREC, _PREFIX[tok], None))
-            if kind == "ident":
+            if tok != "!":
                 state = _NO_BOUND
         elif tok == "(":
             ops.append(_OPEN)
@@ -355,10 +359,10 @@ def parse(text: str) -> Formula:
             operands.append(Atom(base))
             ops.append((_SUGAR_PREC, cls, None))
             state = _MAY_BOUND
-        elif kind != "ident":
-            raise _error(text, m.start(), f"expected a formula, got {tok!r}")
+        elif tok[0] not in _IDENT_START:
+            raise _token_error(text, index, f"expected a formula, got {tok!r}")
         elif tok in _INFIX:
-            raise _error(text, m.start(), f"keyword {tok!r} cannot be used as a proposition")
+            raise _token_error(text, index, f"keyword {tok!r} cannot be used as a proposition")
         else:
             operands.append(Atom(_CONSTANTS.get(tok, tok)))
             state = _AFTER

@@ -21,22 +21,26 @@ Applying and folding a cell is one lookup in a flat uint8 table, by a code
 computed in uint8 from the cell's kind and what it reads: `kind * 4 + 2x +
 y` when applying, `kind * 9 + 3x + y` when folding (x, y: 0, 1, or 2 for
 not a constant, which is `min(kind below, 2)`). A lookup by three index
-arrays would have numpy widen each of them to intp first. Rows
-that read the row below in place (boolean, unbounded and collapsed bounded
-rows) share one read-only `positions(n)` as their operand index, and the
-kernels skip the gather through it; an equal array that is not that one is
-gathered, with the same result.
+arrays would have numpy widen each of them to intp first. A row whose b is
+its a reads one operand and looks up tables derived from those two at
+import, by `kind * 2 + x` and `kind * 8 + kind below`, which saves the
+`min` and a multiply. Rows that read the row below in place (boolean,
+unbounded and collapsed bounded rows) share one read-only `positions(n)` as
+their operand index, and the kernels skip the gather through it; an equal
+array that is not that one is gathered, with the same result.
 
 A label is evaluated when no cell reads a constant. `compose_evaluated`
-stacks two labels and folds the constants at the seam upward: a table lookup
-per cell, then, where a chain cell has come to sit next to a constant, two
-chain scans (0 flows through COPY and CHAIN_AND cells, 1 through COPY and
-CHAIN_OR cells, each skipped when no such chain ends at that constant) and
-a cut of the chain cells left next to a constant, stopping at the first row
-that gains no constant. It drops
-every row below an all-constant row and fuses each pure-gather row
-(constants and IDs, such as a shift) into the row above by composing
-indices. `is_evaluated` checks that invariant on the rows themselves.
+stacks any number of labels and folds the constants at each seam upward,
+stopping at the first row that gains no constant: a table lookup per cell,
+then, where a chain cell has come to sit next to a constant (one lookup of
+each cell with its neighbour tells), one scan per constant that flows (0
+through COPY and CHAIN_AND cells, 1 through COPY and CHAIN_OR cells) and a
+cut of the chain cells left next to a constant. A builder's raw row is
+settled there, once. Then, once for the whole stack and from the first
+label's top row up, it drops every row below an all-constant row and fuses
+each pure-gather row (constants and IDs, such as a shift) into the row
+above by composing indices. `is_evaluated` checks that invariant on the
+rows themselves.
 
 Labels keep the reading interface of `circuit.Transducer` (`circuit`,
 `inputs`, `outputs`) through a gate view built on demand, which the DOT
@@ -97,6 +101,12 @@ for _k, _x, _y in product(range(8), range(3), range(3)):
     _kind, _swap = _local_fold(_k, _x, _y)
     _FOLD[_k * 9 + _x * 3 + _y] = _kind + _SWAPPED * _swap
 
+# The same tables for a row whose b is a: _APPLY_ONE[kind * 2 + x] and
+# _FOLD_ONE[kind * 8 + kind below at a] (one operand never swaps)
+_APPLY_ONE = _APPLY.reshape(8, 4)[:, [0, 3]].ravel()
+_FOLD_ONE = _FOLD.reshape(8, 9)[:, [0, 4, 8, 8, 8, 8, 8, 8]].ravel()
+
+
 @lru_cache(maxsize=4)  # a check works at one n
 def positions(n: int) -> np.ndarray:
     """The read-only array 0..n-1. Builders pass it as the operand index of
@@ -115,10 +125,10 @@ def _read(cells: np.ndarray, index: np.ndarray) -> np.ndarray:
 class Row:
     """One row: cell kinds, operand indices a and b into the row below (valid
     indices even where unused) and the chain direction d (0 without chains).
-    A raw row (a builder's collapsed bounded row) may have chain cells that
-    read constants; folding it settles them. Rows are never mutated. `top`
-    (the largest kind) and `consts` (the number of constant cells) are
-    counted unless the caller passes them."""
+    A raw row (a builder's unbounded chain row or collapsed bounded row) may
+    have chain cells that read constants; folding it settles them. Rows are
+    never mutated. `top` (the largest kind) and `consts` (the number of
+    constant cells) are counted unless the caller passes them."""
 
     __slots__ = ("kind", "a", "b", "d", "raw", "top", "consts")
 
@@ -129,8 +139,25 @@ class Row:
         self.b = a if b is None else b
         self.d = d
         self.raw = raw
-        self.top = int(kind.max()) if top is None else top
-        self.consts = int(np.count_nonzero(kind <= TRUE)) if consts is None else consts
+        if top is None or consts is None:
+            counted = _counts(kind)
+            top = counted[0] if top is None else top
+            consts = counted[1] if consts is None else consts
+        self.top = top
+        self.consts = consts
+
+
+# Up to this width one bincount costs less than a max and a count (which
+# cost about the same at any width); beyond it, more.
+_BINCOUNT_WIDTH = 1024
+
+
+def _counts(kind: np.ndarray) -> tuple[int, int]:
+    """The largest kind and the number of constant cells."""
+    if len(kind) > _BINCOUNT_WIDTH:
+        return int(kind.max()), int(np.count_nonzero(kind <= TRUE))
+    per_kind = np.bincount(kind).tolist()
+    return len(per_kind) - 1, sum(per_kind[:TRUE + 1])
 
 
 class Label:
@@ -177,12 +204,6 @@ def _next(stop, d: int) -> np.ndarray:
     return np.maximum.accumulate(np.where(stop, positions(n), -1))
 
 
-def _operands(row: Row, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The row below's cells at a[i] and at b[i]."""
-    x = _read(cells, row.a)
-    return x, (x if row.b is row.a else _read(cells, row.b))
-
-
 def apply(label: Label, bits) -> np.ndarray:
     """Output bits of the label on its n input bits, as a bool array."""
     v = np.asarray(bits, dtype=bool)
@@ -190,8 +211,11 @@ def apply(label: Label, bits) -> np.ndarray:
         raise CircuitError(f"arity mismatch: {len(v)} bits for {label.n} inputs")
     v = v.view(np.uint8)
     for row in label.rows:
-        x, y = _operands(row, v)
-        v = _APPLY.take(row.kind * 4 + (3 * x if y is x else 2 * x + y))  # uint8 codes below 32
+        x = _read(v, row.a)
+        if row.b is row.a:
+            v = _APPLY_ONE.take(row.kind * 2 + x)  # uint8 codes below 16
+        else:
+            v = _APPLY.take(row.kind * 4 + 2 * x + _read(v, row.b))  # uint8 codes below 32
         if row.top >= COPY:
             v = v[_next(v != _NEXT, row.d)]
     return v.view(bool)
@@ -204,58 +228,72 @@ def _any_before(cells: np.ndarray, ends: np.ndarray, d: int) -> bool:
     return bool((cells[1:] & ends[:-1]).any())
 
 
-# each constant, and the chain kind it flows through besides COPY
-_THROUGH = ((FALSE, CHAIN_AND), (TRUE, CHAIN_OR))
-
-
 def fold(row: Row, below: Row | None = None) -> Row:
     """The row with the constants of `below` (None: the variables) folded in
     and let flow along its chains; the row itself when nothing changes."""
     kind, a, top, consts = row.kind, row.a, row.top, row.consts
+    if top <= TRUE and not row.raw:
+        return row  # reads nothing below
     if below is not None and below.consts:
-        x, y = _operands(row, np.minimum(below.kind, 2))  # 2: not a constant
-        kind = _FOLD.take(kind * 9 + (4 * x if y is x else 3 * x + y))  # uint8 codes below 72
-        top = int(kind.max())
-        if top >= _SWAPPED:
+        if row.b is a:
+            kind = _FOLD_ONE.take(kind * 8 + _read(below.kind, a))  # uint8 codes below 64
+        else:
+            known = np.minimum(below.kind, 2)  # 2: not a constant
+            x, y = _read(known, a), _read(known, row.b)
+            kind = _FOLD.take(kind * 9 + 3 * x + y)  # uint8 codes below 72
+        top, consts = _counts(kind)
+        if top >= _SWAPPED:  # a swapped cell is no constant
             swap = kind >= _SWAPPED
             a = np.where(swap, row.b, a)
             kind -= swap * np.uint8(_SWAPPED)
-            top = None
-        consts = int(np.count_nonzero(kind <= TRUE))
+            top = int(kind.max())
     elif not row.raw:
         return row
     if row.top >= COPY and (row.raw or consts > row.consts):
         kind, settled = _settle(kind, row.d)
         if settled:
-            top = consts = None
+            top, consts = _counts(kind)
     return Row(kind, a, row.b, row.d, top=top, consts=consts)
+
+
+# What settling needs where a cell meets the next one along its chain, by
+# _ENDS[kind * 8 + next kind]: bit 1 << c a flow of the constant c, _CUT a
+# chain AND/OR to cut. Per constant, _FLOWS holds the kinds that stop its
+# flow (all but COPY and the chain kind it flows through) and its table
+# [kind * 8 + the kind where the flow stops]: the constant for a cell it
+# reaches, else the kind.
+_CUT = 4
+_ENDS = np.zeros(64, dtype=np.uint8)
+_FLOWS = []
+for _value, _chain, _other in ((FALSE, CHAIN_AND, CHAIN_OR), (TRUE, CHAIN_OR, CHAIN_AND)):
+    _stops = np.ones(8, dtype=bool)
+    _stops[[COPY, _chain]] = False
+    _flow = np.repeat(np.arange(8, dtype=np.uint8), 8)
+    _flow[[COPY * 8 + _value, _chain * 8 + _value]] = _value
+    _FLOWS.append((_value, _stops, _flow))
+    _ENDS[[COPY * 8 + _value, _chain * 8 + _value]] = 1 << _value
+    _ENDS[_other * 8 + _value] = _CUT
 
 
 def _settle(kind: np.ndarray, d: int) -> tuple[np.ndarray, bool]:
     """The kinds of a row with chains in direction d, with its constants let
     flow along the chains and the chains cut next to the constants left, and
     whether anything changed. Both need a chain cell next to a constant, so
-    one test usually settles it; a constant's scan is skipped when no chain
-    it flows through ends at it."""
+    one table lookup over the neighbours usually settles it; a constant's
+    flow is skipped when no chain it flows through ends at it."""
     def cells(kind):  # every cell but the far end, and the next one along
         return (kind[:-1], kind[1:]) if d > 0 else (kind[1:], kind[:-1])
 
     here, after = cells(kind)
-    edge = (here >= COPY) & (after <= TRUE)
-    if not edge.any():
-        return kind, False
-    # which chain cells end at which constant, as kind * 2 + constant; a
-    # flow of FALSE neither makes nor removes a chain that TRUE flows
+    # a flow of FALSE neither makes nor removes a chain that TRUE flows
     # through to a TRUE, so both are read before either flows
-    ends = np.bincount((here * 2 + after)[edge], minlength=16)
-    flowed = False
-    for value, chain in _THROUGH:
-        if ends[COPY * 2 + value] or ends[chain * 2 + value]:
-            passes = (kind == COPY) | (kind == chain)
-            reached = passes & (kind[_next(~passes, d)] == value)
-            kind = np.where(reached, np.uint8(value), kind)
-            flowed = True
-    if not flowed:
+    needs = int(np.bitwise_or.reduce(_ENDS.take(here * 8 + after)))  # uint8 codes below 64
+    if not needs:
+        return kind, False
+    for value, stops, flow in _FLOWS:
+        if needs >> value & 1:
+            kind = flow.take(kind * 8 + kind[_next(stops.take(kind), d)])
+    if needs == _CUT:
         kind = kind.copy()
     # a chain AND/OR next to a constant is an ID of its operand below (the
     # constant cases that absorb were settled by the flows)
@@ -264,31 +302,42 @@ def _settle(kind: np.ndarray, d: int) -> tuple[np.ndarray, bool]:
     return kind, True
 
 
-def compose_evaluated(first: Label, second: Label) -> Label:
-    """`second` after `first`, evaluated: the stacked rows with the seam
-    folded, dead rows dropped and pure-gather rows fused into the row above.
+def compose_evaluated(first: Label, *later: Label) -> Label:
+    """The labels applied in turn, `first` innermost, evaluated: the stacked
+    rows with each seam folded, dead rows dropped and pure-gather rows fused
+    into the row above. The result is that of composing them pairwise.
 
-    Both labels must be evaluated, except that the bottom row of `second`
-    may be raw.
+    Every label must be evaluated, except that the bottom row of each later
+    one may be raw. `first` must also be as this function returns it, or
+    at most one row: an all-constant row only at its bottom and a
+    pure-gather row only at its top.
     """
-    if first.n != second.n:
-        raise CircuitError(f"arity mismatch: {first.n} outputs fed into {second.n} inputs")
-    if not second.rows:
+    rows = list(first.rows)
+    low = len(rows)  # the lowest seam: every row below it is first's, as it was
+    for second in later:
+        if first.n != second.n:
+            raise CircuitError(f"arity mismatch: {first.n} outputs fed into {second.n} inputs")
+        seam = len(rows)
+        rows += second.rows
+        below = rows[seam - 1] if seam else None
+        for r in range(seam, len(rows)):
+            row = rows[r]
+            below = rows[r] = fold(row, below)
+            if below.consts == row.consts:
+                break  # nothing new for the rows above to fold
+    if len(rows) == low:
         return first
-    seam = len(first.rows)
-    rows = list(first.rows + second.rows)
-    below = rows[seam - 1] if seam else None
-    for r in range(seam, len(rows)):
-        row = rows[r]
-        below = rows[r] = fold(row, below)
-        if below.consts == row.consts:
-            break  # nothing new for the rows above to fold
-    for r in range(len(rows) - 1, 0, -1):
+    # first keeps an all-constant row only at its bottom and a pure-gather
+    # row only at its top, so the drop looks no lower than the lowest seam,
+    # and the fuse starts there, reading first's top row as the one below
+    keep = low
+    for r in range(len(rows) - 1, max(low, 1) - 1, -1):
         if rows[r].top <= TRUE:  # reads nothing below
             del rows[:r]
+            keep = 0
             break
-    fused = []
-    for row in rows:
+    fused = rows[:keep]
+    for row in rows[keep:]:
         if fused and fused[-1].top <= ID:
             gather = fused.pop().a
             a = _read(gather, row.a)

@@ -1,5 +1,5 @@
 """Shared test utilities: bit-parallel truth tables, random circuits,
-random row labels and single-leaf contraction steps."""
+random row labels, wide formulas and single-leaf contraction steps."""
 
 from __future__ import annotations
 
@@ -18,7 +18,12 @@ from pathcheck.circuit import (
     Transducer,
     evaluate,
 )
+from pathcheck.formula import (
+    TRUE_NAME, FALSE_NAME, And, Atom, Formula, Next, Not, Or, Release, Since, Trigger, Until,
+    WeakNext, WeakYesterday, Yesterday,
+)
 from pathcheck.rows import Label, compose_evaluated, identity
+from pathcheck.trace import Trace, make_trace
 
 
 def truth_table(t: Transducer) -> tuple[int, ...]:
@@ -170,3 +175,51 @@ def shuffle_plans(monkeypatch, seed: int) -> list[int]:
 
     monkeypatch.setattr(contraction, "_assert_disjoint", shuffled)
     return sizes
+
+
+WIDE_N = 128
+_WIDE_PROPS = tuple(f"p{i}" for i in range(8))
+_WIDE_BINARY = (And, Or, Until, Release, Since, Trigger)
+_WIDE_SHIFTS = (Next, WeakNext, Yesterday, WeakYesterday)
+
+
+def wide_formula(rng: random.Random, leaves: int) -> Formula:
+    """A formula with exactly `leaves` literals mixing every operator:
+    temporal binaries unbounded, bounded by 0-4 or beyond WIDE_N, some with
+    a constant left operand (F/G/O/H); a third of the subformulas wrapped
+    in a chain of 1-3 shifts or a negation."""
+    if leaves == 1:
+        f = Atom(rng.choice(_WIDE_PROPS))
+    else:
+        cls = rng.choice(_WIDE_BINARY)
+        split = rng.randint(1, leaves - 1)
+        if cls in (And, Or):
+            f = cls(wide_formula(rng, split), wide_formula(rng, leaves - split))
+        else:
+            roll = rng.random()
+            bound = None if roll < 0.4 else rng.randint(0, 4) if roll < 0.85 else WIDE_N + 70
+            if rng.random() < 0.15:
+                left = Atom(TRUE_NAME if cls in (Until, Since) else FALSE_NAME)
+                f = cls(left, wide_formula(rng, leaves - 1), bound)
+            else:
+                f = cls(wide_formula(rng, split), wide_formula(rng, leaves - split), bound)
+    roll = rng.random()
+    if roll < 0.25:
+        for _ in range(rng.randint(1, 3)):
+            f = rng.choice(_WIDE_SHIFTS)(f)
+    elif roll < 0.35:
+        f = Not(f)
+    return f
+
+
+def wide_cases() -> list[tuple[Formula, Trace]]:
+    """Four wide formulas of 100-140 literals, each with its own random
+    trace of WIDE_N states over p0..p7."""
+    cases = []
+    for k in range(4):
+        rng = random.Random(f"wide:{k}")
+        f = wide_formula(rng, rng.randint(100, 140))
+        density = {p: rng.uniform(0.2, 0.8) for p in _WIDE_PROPS}
+        states = [{p for p in _WIDE_PROPS if rng.random() < density[p]} for _ in range(WIDE_N)]
+        cases.append((f, make_trace(states, _WIDE_PROPS)))
+    return cases

@@ -4,10 +4,13 @@ operator at a time, kept as the referee for the engine's faster ones.
 `fold` settles every chain row with two constant scans and a `_CUT` table
 lookup; `build_shift` makes one row per step, and a chain of them is
 composed step by step (`build_shifts`); the collapsed bounded row looks its
-window up with two gathers. Tests compare the engine's rows with these ones
-byte for byte (kinds, operand indices, directions, flags, counts and
-dtypes). `install` swaps them into the contraction module, so that a whole
-run can be replayed on them.
+window up with two gathers; `compose_evaluated` composes two labels at a
+time, and the unbounded chain row is folded in its builder, so a run
+replayed here settles that row twice where the engine settles it once.
+Tests compare the engine's rows with these ones byte for byte (kinds,
+operand indices, directions, flags, counts and dtypes). `install` swaps
+them into the contraction module, so that a whole run can be replayed on
+them.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from pathcheck.rows import (
     _FOLD,
     _NEXT,
     _SWAPPED,
-    _THROUGH,
     AND,
     CHAIN_AND,
     CHAIN_OR,
@@ -126,7 +128,14 @@ def fold(row: Row, below: Row | None = None) -> Row:
     return Row(kind, a, row.b, row.d, consts=consts)
 
 
-def compose_evaluated(first: Label, second: Label) -> Label:
+def compose_evaluated(first: Label, *later: Label) -> Label:
+    """The labels applied in turn, `first` innermost, composed pairwise."""
+    for second in later:
+        first = _compose_pair(first, second)
+    return first
+
+
+def _compose_pair(first: Label, second: Label) -> Label:
     """`second` after `first`, evaluated: the stacked rows with the seam
     folded, dead rows dropped and pure-gather rows fused into the row above.
 
@@ -196,7 +205,7 @@ def build_unbounded(n: int, op: str, known_side: str, known) -> Label:
     known = _known(n, known)
     future = op in FUTURE_OPS
     right_known = known_side == "right"
-    on, off = _CHAIN_KINDS[op in ("U", "S"), right_known]
+    off, on = _CHAIN_KINDS[op in ("U", "S"), right_known]
     kind = np.where(known, on, off).astype(np.uint8)
     # the chain's far end: no neighbour to recurse into
     edge = n - 1 if future else 0
@@ -261,12 +270,15 @@ def build_shifts(n: int, ops) -> Label:
 
 
 class _Builders:
-    """The builder functions the contraction module reads."""
+    """The builder functions the contraction module reads. The raw chain
+    row is the evaluated one: settling it again at the seam must give what
+    settling it once there gives."""
 
     build_shift = staticmethod(build_shift)
     build_shifts = staticmethod(build_shifts)
     build_boolean = staticmethod(_builder.build_boolean)
     build_unbounded = staticmethod(build_unbounded)
+    _raw_unbounded = staticmethod(build_unbounded)
     build_bounded = staticmethod(build_bounded)
 
 

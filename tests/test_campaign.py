@@ -310,14 +310,14 @@ class TestMinimize:
         # builder to Release instead; minimize must still end on a disagreeing pair
         import pathcheck.builder as builder_mod
 
-        real = builder_mod.build_unbounded
+        real = builder_mod._raw_unbounded
 
         def wrong(n, op, known_side, known):
             if op == "U":
                 op = "R"
             return real(n, op, known_side, known)
 
-        monkeypatch.setattr(builder_mod, "build_unbounded", wrong)
+        monkeypatch.setattr(builder_mod, "_raw_unbounded", wrong)
         f = parse("(a U b) | (a U b)")
         states = [{"a"}, {"a"}, {"b"}, set()] * 3
         tr = make_trace(states, list(ALPHABET))

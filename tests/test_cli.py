@@ -440,14 +440,14 @@ class TestSelftest:
         # report FAIL, and print a still-disagreeing minimized pair
         import pathcheck.builder as builder_mod
 
-        real = builder_mod.build_unbounded
+        real = builder_mod._raw_unbounded
 
         def wrong(n, op, known_side, known):
             if op == "U":
                 op = "R"
             return real(n, op, known_side, known)
 
-        monkeypatch.setattr(builder_mod, "build_unbounded", wrong)
+        monkeypatch.setattr(builder_mod, "_raw_unbounded", wrong)
         rc = main(["selftest", "--cases", "200", "--max-size", "10",
                    "--max-len", "12", "--max-bound", "3",
                    "--processes", "1"])

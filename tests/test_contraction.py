@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import numpy as np
@@ -27,7 +28,7 @@ from pathcheck.semantics import eval_seq
 from pathcheck.trace import Trace, make_trace
 
 from gates import apply, constants_are_sinks, is_identity
-from helpers import contract_step, random_builder_label, shuffle_plans, truth_table
+from helpers import contract_step, random_builder_label, shuffle_plans, truth_table, wide_cases
 from test_builder import random_trace
 from test_formula import formulas
 from test_referee import stages
@@ -82,8 +83,8 @@ class TestInitTree:
         assert t.children[ROOT] == [0]
         assert t.children[0] == [1, 4]
         assert t.children[1] == [2, 3]
-        assert t.is_leaf(2) and t.is_leaf(3) and t.is_leaf(4)
-        assert not t.is_leaf(0) and not t.is_leaf(1)
+        assert 2 not in t.children and 3 not in t.children and 4 not in t.children
+        assert 0 in t.children and 1 in t.children
         assert leaves_left_to_right(t) == [2, 3, 4]
         assert t.leaf_numbers == {2: 0, 3: 1, 4: 2}
         assert t.parent[1] == 0 and t.children[0].index(1) == 0
@@ -94,7 +95,7 @@ class TestInitTree:
         tr = small_trace()
         t = init_tree(parse(NESTED_UNTIL), tr)
         assert len(t.literal_bits) == 5
-        inner = [v for v in t.node_formula if not t.is_leaf(v)]
+        inner = [v for v in t.node_formula if v in t.children]
         assert len(inner) == 4
         for v in t.node_formula:
             assert is_identity_label(t.labels[v], len(tr))
@@ -127,7 +128,7 @@ class TestInitTree:
         tr = bits_trace(a="0110", b="1011")
         t = init_tree(parse("wY (a U (X b))"), tr)
         # nodes: the Until occurrence and the two literals
-        until = [v for v in t.node_formula if not t.is_leaf(v)]
+        until = [v for v in t.node_formula if v in t.children]
         assert len(until) == 1
         u = until[0]
         assert t.children[ROOT] == [u]
@@ -372,6 +373,40 @@ class TestRunContraction:
         nodes = set(t.node_formula)
         run_contraction(t)
         assert set(t.node_formula) == nodes
+
+
+def stage_digest(cases) -> str:
+    """One sha256 over every stage of every case's run: the parent pointers,
+    the leaf numbers and every edge's rows (kind, a and b with their dtypes,
+    then d, raw, top and consts), then the final sequence."""
+    h = hashlib.sha256()
+
+    def record(t, stage):
+        h.update(repr((stage, sorted(t.parent.items()), sorted(t.leaf_numbers.items()))).encode())
+        for v in sorted(t.labels):
+            label = t.labels[v]
+            h.update(repr((v, len(label.rows))).encode())
+            for row in label.rows:
+                for x in (row.kind, row.a, row.b):
+                    h.update(x.dtype.str.encode() + x.tobytes())
+                h.update(repr((row.d, row.raw, row.top, row.consts)).encode())
+
+    for f, tr in cases:
+        h.update(run_contraction(init_tree(f, tr), on_stage=record).tobytes())
+    return h.hexdigest()
+
+
+def test_stage_dump_is_pinned():
+    # every label of every stage, byte for byte, over 1,000 campaign cases
+    # (seed 1) and four wide formulas at n = 128: a change to the kernels or
+    # builders that is meant to be faster, not different, keeps this digest
+    cfg = CampaignConfig()
+    cases = []
+    for index in range(1000):
+        rng = random.Random(case_seed(1, index))
+        f = random_formula(rng, cfg.max_size, cfg.max_bound)
+        cases.append((f, campaign_trace(rng, cfg.max_len)))
+    assert stage_digest(cases + wide_cases()) == "7642f55262b5e492cd64b56ff37ccef3cd2014cde5307a3071c1d18136609cc4"
 
 
 class TestVerifyTreeLeafOrder:

@@ -143,6 +143,55 @@ class TestParse:
         assert exc.value.col == col
         assert f"{line}:{col}:" in str(exc.value)
 
+    @pytest.mark.parametrize(
+        "text,line,col",
+        [
+            ("a \t\n  b", 2, 3),
+            ("(a\n\n   U", 3, 5),
+            ("a U\r\n\r\n  b c", 3, 5),
+            ("\r\n  (a &\r\n\t b) )", 3, 6),
+            ("a &  \t\n", 2, 1),
+            ("  \t X[3]   a", 1, 6),
+            ("a U [3 x", 1, 8),
+            ("\n\n\n   ! ", 4, 6),
+            ("  a   R[2]\t\t&", 1, 13),
+            ("(a\r\n|\r\n b", 3, 3),
+            ("   ", 1, 4),
+        ],
+    )
+    def test_error_positions_after_blank_runs(self, text, line, col):
+        # the token after a run of blanks, tabs and newlines, or the end of
+        # input after one, is where the error points
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert (exc.value.line, exc.value.col) == (line, col)
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("3", "1:1: expected a formula, got '3'"),
+            ("a & )", "1:5: expected a formula, got ')'"),
+            ("! [1] a", "1:3: expected a formula, got '['"),
+            ("!X[1] a", "1:3: operator X does not take a bound"),
+            ("wY[0] a", "1:3: operator wY does not take a bound"),
+            ("U", "1:1: keyword 'U' cannot be used as a proposition"),
+            ("a U[b] c", "1:5: bound must be a decimal natural, got 'b'"),
+            ("a U[2 b", "1:7: expected ']', got 'b'"),
+            ("(a | 12)", "1:6: expected a formula, got '12'"),
+            ("a S[3]] b", "1:7: expected a formula, got ']'"),
+            ("true U[0x1] b", "1:9: expected ']', got 'x1'"),
+        ],
+    )
+    def test_error_messages_by_token_class(self, text, message):
+        # identifiers, naturals and punctuation marks are told apart by
+        # their text: a prefix word takes no bound, "!" is no operand
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert str(exc.value) == message
+
+    def test_blanks_inside_a_bound(self):
+        assert parse("a U[ \n 3 ] b") == parse("a U[3] b")
+
     @pytest.mark.parametrize("op", ["U", "R", "S", "T"])
     def test_bound_zero_is_not_unbounded(self, op):
         assert parse(f"a {op}[0] b") != parse(f"a {op} b")

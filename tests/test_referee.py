@@ -19,7 +19,7 @@ from pathcheck.campaign import random_trace as campaign_trace
 from pathcheck.formula import prune_bounds, to_pnf
 
 import referee
-from helpers import contract_step, random_builder_label, random_label
+from helpers import contract_step, random_builder_label, random_label, wide_cases
 from test_builder import random_trace
 from test_formula import formulas
 
@@ -122,6 +122,13 @@ def test_every_stage_matches_referee_on_campaign_formulas():
         tr = campaign_trace(rng, cfg.max_len)
         g = prune_bounds(to_pnf(f), len(tr))
         assert stages(g, tr) == refereed(g, tr), index
+
+
+def test_every_stage_matches_referee_on_wide_formulas():
+    # 100-140 literals at n = 128: bounds 0-4 and beyond n, shift chains
+    # and negations, with many plans per pass and long labels
+    for f, tr in wide_cases():
+        assert stages(f, tr) == refereed(f, tr)
 
 
 @settings(max_examples=150, deadline=None)

@@ -15,9 +15,11 @@ from pathcheck.builder import (
 from pathcheck.circuit import Transducer, evaluate
 from pathcheck.errors import CircuitError
 from pathcheck.rows import (
+    _BINCOUNT_WIDTH,
     AND,
     CHAIN_OR,
     COPY,
+    FALSE,
     ID,
     OR,
     TRUE,
@@ -32,6 +34,7 @@ from pathcheck.rows import (
 
 from gates import apply as gate_apply, compose, constants_are_sinks, validate
 from helpers import random_bits, random_builder_label, random_label, truth_table
+from test_referee import label_bytes
 
 
 def assert_row_invariant(label):
@@ -253,3 +256,30 @@ class TestWide:
             copied = compose_evaluated(unshared(first), unshared(second))
             assert [r.kind.tolist() for r in copied.rows] == [r.kind.tolist() for r in fused.rows]
             assert tuple(apply(copied, bits).tolist()) == want
+
+
+@pytest.mark.parametrize("n", [1, 2, 100, _BINCOUNT_WIDTH, _BINCOUNT_WIDTH + 1, 5000])
+def test_row_counts_on_both_sides_of_the_bincount_width(n):
+    rng = np.random.default_rng(n)
+    for kinds in ([TRUE], [FALSE, ID], [ID, COPY], list(range(8))):
+        kind = rng.choice(np.array(kinds, dtype=np.uint8), n)
+        row = Row(kind, positions(n))
+        assert (type(row.top), type(row.consts)) == (int, int)
+        assert (row.top, row.consts) == (int(kind.max()), int(np.count_nonzero(kind <= TRUE)))
+
+
+def test_compose_of_many_is_compose_in_pairs():
+    # one call folds each seam in turn and drops and fuses once: the same
+    # rows, byte for byte, as composing two labels at a time
+    rng = random.Random(35)
+    for _ in range(400):
+        n = rng.randrange(1, 12)
+        first = random_label(rng, n)
+        later = [
+            random_builder_label(rng, n) if rng.random() < 0.5 else random_label(rng, n)
+            for _ in range(rng.randrange(0, 4))
+        ]
+        pairwise = first
+        for label in later:
+            pairwise = compose_evaluated(pairwise, label)
+        assert label_bytes(compose_evaluated(first, *later)) == label_bytes(pairwise)
