@@ -32,7 +32,7 @@ from .formula import (
 )
 from .trace import Trace, atom_sequence, load_trace, make_trace, to_csv
 from .semantics import eval_seq
-from .circuit import Circuit, to_dot
+from .circuit import to_dot
 from .rows import Label, apply, compose_evaluated, identity
 from .builder import (
     build_boolean,

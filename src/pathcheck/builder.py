@@ -11,8 +11,6 @@ tests can address gates by position.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 from .circuit import Transducer, constant_circuit
@@ -25,6 +23,9 @@ PAST_OPS = ("S", "T")
 BINARY_OPS = FUTURE_OPS + PAST_OPS
 SHIFT_OPS = ("X", "wX", "Y", "wY")
 BOOLEAN_OPS = ("&", "|")
+# The most cells a row can hold: its operand indices take 8 bytes a cell, and
+# numpy cannot even describe a larger array.
+MAX_ARITY = np.iinfo(np.intp).max // 8
 
 
 def build_literal(trace: Trace, name: str, negated: bool = False) -> Transducer:
@@ -52,8 +53,7 @@ def build_shifts(n: int, ops) -> Label:
     ends; a row that is all constant keeps the outermost step's indices.
     Both are computed from the chain's offsets in O(n + len(ops)).
     """
-    if n < 1:
-        raise BuildError("arity must be at least 1")
+    _arity(n)
     if not ops:
         return Label(n)
     hits: dict[int, int] = {}  # cell -> the constant it reaches first
@@ -71,16 +71,14 @@ def build_shifts(n: int, ops) -> Label:
     kind = np.full(n, ID, dtype=np.uint8)
     for cell, value in hits.items():
         kind[cell] = value
-    top = ID
     if len(hits) == n:  # the outermost step's own indices
         offset, lo, hi = (1 if ops[-1] in ("X", "wX") else -1), 0, n - 1
-        top = max(hits.values())
     # i + offset rises with i, so the clamp sets a prefix to lo, then a
     # suffix to hi
     a = np.arange(offset, n + offset)
     a[: max(lo - offset, 0)] = lo
     a[max(hi - offset + 1, 0):] = hi
-    return Label(n, (Row(kind, a, top=top, consts=len(hits)),))
+    return Label(n, (Row(kind, a),))
 
 
 def build_boolean(n: int, op: str, known) -> Label:
@@ -94,16 +92,16 @@ def build_boolean(n: int, op: str, known) -> Label:
     known = _known(n, known)
     absorbing = op == "|"  # the known value that decides the output
     kind = _BOOLEAN_KINDS[absorbing].take(known.view(np.uint8))
-    consts = int(np.count_nonzero(known))
-    if not absorbing:
-        consts = n - consts
-    top = ID if consts < n else TRUE if absorbing else FALSE
-    return Label(n, (Row(kind, positions(n), top=top, consts=consts),))
+    return Label(n, (Row(kind, positions(n)),))
+
+
+def _arity(n: int) -> None:
+    if not 1 <= n <= MAX_ARITY:
+        raise BuildError(f"arity must be between 1 and {MAX_ARITY}")
 
 
 def _known(n: int, known) -> np.ndarray:
-    if n < 1:
-        raise BuildError("arity must be at least 1")
+    _arity(n)
     known = np.asarray(known, dtype=bool)
     if known.shape != (n,):
         raise BuildError(f"known sequence has length {len(known)}, expected {n}")
@@ -204,21 +202,13 @@ def build_bounded(n: int, op: str, bound: int, known_side: str, known) -> Label:
         kind = np.where(dist <= bound, np.uint8(chain), np.uint8(miss))
         kind[witness] = hit
         return Label(n, (Row(kind, at, d=step, raw=True),))
-    if not bound:
-        return Label(n)
     # a binary cell reads the cell below it and the diagonal neighbour below
-    # it; an ID cell reads the cell below it
+    # it; an ID cell reads the cell below it, as does the edge column, which
+    # has no diagonal (its b is 0). The grid's rows share one read-only b.
+    edge = n - 1 if step > 0 else 0
     kind = _GRID_KINDS[exists].take(known.view(np.uint8))
-    kind[n - 1 if step > 0 else 0] = ID  # the edge column has no diagonal
-    row = Row(kind, at, _diagonal(n, step), consts=0)
-    return Label(n, (row,) * bound)
-
-
-@lru_cache(maxsize=8)
-def _diagonal(n: int, step: int) -> np.ndarray:
-    """The read-only diagonal operand of a grid row: the neighbour at
-    i + step, and 0 in the edge column, which has none."""
-    diagonal = positions(n) + step
-    diagonal[n - 1 if step > 0 else 0] = 0
+    kind[edge] = ID
+    diagonal = at + step
+    diagonal[edge] = 0
     diagonal.flags.writeable = False
-    return diagonal
+    return Label(n, (Row(kind, at, diagonal),) * bound)

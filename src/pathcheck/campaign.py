@@ -22,6 +22,7 @@ from typing import Optional
 
 import numpy as np
 
+from .builder import MAX_ARITY
 from .contraction import check
 from .errors import PathcheckError
 from .formula import (
@@ -41,6 +42,7 @@ from .trace import Trace, to_csv
 ALPHABET = ("a", "b", "c", "d")
 SLOWEST = 5  # slowest cases a campaign reports
 KEEP_FAILURES = 10  # failing cases a campaign keeps in full
+MAX_LEN = MAX_ARITY // len(ALPHABET)  # random_trace buffers 8 bytes a cell, n * 4 cells
 
 _PLAIN_BINARY = (And, Or) + BINARY_TEMPORAL
 
@@ -194,8 +196,8 @@ def check_config(cfg: CampaignConfig, processes: int) -> None:
         raise PathcheckError("cases must be at least 1")
     if cfg.max_size < 1:
         raise PathcheckError("max_size must be at least 1")
-    if cfg.max_len < 1:
-        raise PathcheckError("max_len must be at least 1")
+    if not 1 <= cfg.max_len <= MAX_LEN:
+        raise PathcheckError(f"max_len must be between 1 and {MAX_LEN}")
     if cfg.max_bound < 0:
         raise PathcheckError("max_bound must be non-negative")
 

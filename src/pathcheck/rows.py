@@ -36,11 +36,11 @@ then, where a chain cell has come to sit next to a constant (one lookup of
 each cell with its neighbour tells), one scan per constant that flows (0
 through COPY and CHAIN_AND cells, 1 through COPY and CHAIN_OR cells) and a
 cut of the chain cells left next to a constant. A builder's raw row is
-settled there, once. Then, once for the whole stack and from the first
-label's top row up, it drops every row below an all-constant row and fuses
-each pure-gather row (constants and IDs, such as a shift) into the row
-above by composing indices. `is_evaluated` checks that invariant on the
-rows themselves.
+settled there, once. Then, once over the whole stack, it drops every row
+below the topmost all-constant row and fuses each pure-gather row
+(constants and IDs, such as a shift) into the row above by composing
+indices, so the first label may be any evaluated stack. `is_evaluated`
+checks that invariant on the rows themselves.
 
 Labels keep the reading interface of `circuit.Transducer` (`circuit`,
 `inputs`, `outputs`) through a gate view built on demand, which the DOT
@@ -127,8 +127,9 @@ class Row:
     indices even where unused) and the chain direction d (0 without chains).
     A raw row (a builder's unbounded chain row or collapsed bounded row) may
     have chain cells that read constants; folding it settles them. Rows are
-    never mutated. `top` (the largest kind) and `consts` (the number of
-    constant cells) are counted unless the caller passes them."""
+    never mutated. The row counts `top` (the largest kind) and `consts` (the
+    number of constant cells) itself; the kernels here pass the counts they
+    already hold."""
 
     __slots__ = ("kind", "a", "b", "d", "raw", "top", "consts")
 
@@ -230,10 +231,9 @@ def _any_before(cells: np.ndarray, ends: np.ndarray, d: int) -> bool:
 
 def fold(row: Row, below: Row | None = None) -> Row:
     """The row with the constants of `below` (None: the variables) folded in
-    and let flow along its chains; the row itself when nothing changes."""
+    and let flow along its chains; the row itself when it is not raw and
+    `below` holds no constant."""
     kind, a, top, consts = row.kind, row.a, row.top, row.consts
-    if top <= TRUE and not row.raw:
-        return row  # reads nothing below
     if below is not None and below.consts:
         if row.b is a:
             kind = _FOLD_ONE.take(kind * 8 + _read(below.kind, a))  # uint8 codes below 64
@@ -308,12 +308,9 @@ def compose_evaluated(first: Label, *later: Label) -> Label:
     into the row above. The result is that of composing them pairwise.
 
     Every label must be evaluated, except that the bottom row of each later
-    one may be raw. `first` must also be as this function returns it, or
-    at most one row: an all-constant row only at its bottom and a
-    pure-gather row only at its top.
+    one may be raw.
     """
     rows = list(first.rows)
-    low = len(rows)  # the lowest seam: every row below it is first's, as it was
     for second in later:
         if first.n != second.n:
             raise CircuitError(f"arity mismatch: {first.n} outputs fed into {second.n} inputs")
@@ -325,19 +322,12 @@ def compose_evaluated(first: Label, *later: Label) -> Label:
             below = rows[r] = fold(row, below)
             if below.consts == row.consts:
                 break  # nothing new for the rows above to fold
-    if len(rows) == low:
-        return first
-    # first keeps an all-constant row only at its bottom and a pure-gather
-    # row only at its top, so the drop looks no lower than the lowest seam,
-    # and the fuse starts there, reading first's top row as the one below
-    keep = low
-    for r in range(len(rows) - 1, max(low, 1) - 1, -1):
+    for r in range(len(rows) - 1, 0, -1):
         if rows[r].top <= TRUE:  # reads nothing below
             del rows[:r]
-            keep = 0
             break
-    fused = rows[:keep]
-    for row in rows[keep:]:
+    fused = []
+    for row in rows:
         if fused and fused[-1].top <= ID:
             gather = fused.pop().a
             a = _read(gather, row.a)

@@ -77,6 +77,8 @@ class TestShift:
             build_shift(3, "Z")
         with pytest.raises(BuildError):
             build_shift(0, "X")
+        with pytest.raises(BuildError, match="arity"):
+            build_shift(10**20, "X")
 
 
 class TestBoolean:

@@ -207,6 +207,15 @@ class TestDot:
         assert err.startswith("error: ") and "memory" in err
         assert "Traceback" not in err
 
+    def test_oversized_arity_exits_2(self, capsys):
+        # rejected before numpy is asked for an array it cannot describe
+        rc = main(["dot", "--op", "X", "--arity", str(10**20)])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: ") and "arity" in err
+        assert "Traceback" not in err
+
     def test_builder_collapsed_row(self, capsys):
         rc = main(["dot", "--op", "U[3]", "--side", "right",
                    "--seq", "0,1,0,0,0,0,0,1"])
@@ -424,7 +433,8 @@ class TestSelftest:
     @pytest.mark.parametrize(
         "argv",
         [["--cases", "0"], ["--cases", "-3"], ["--max-len", "0"], ["--max-bound", "-1"],
-         ["--max-size", "-5"], ["--max-size", "0"]],
+         ["--max-size", "-5"], ["--max-size", "0"], ["--max-len", str(10**20)],
+         ["--max-len", str(10**20), "--processes", "1"]],
         ids=lambda argv: " ".join(argv),
     )
     def test_bad_config_exit_2(self, argv, capsys):

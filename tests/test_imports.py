@@ -69,3 +69,9 @@ def test_test_only_referees_are_not_shipped():
     assert not removed & imported_names("__init__")
     for module in ("semantics", "formula", "contraction"):
         assert not removed & defined_names(module), module
+
+
+def test_gate_model_class_is_not_exported():
+    # the DOT writer is public; the gate model behind it stays in its module
+    assert "to_dot" in imported_names("__init__")
+    assert "Circuit" not in imported_names("__init__")

@@ -32,6 +32,7 @@ from pathcheck.rows import (
     positions,
 )
 
+import referee
 from gates import apply as gate_apply, compose, constants_are_sinks, validate
 from helpers import random_bits, random_builder_label, random_label, truth_table
 from test_referee import label_bytes
@@ -283,3 +284,49 @@ def test_compose_of_many_is_compose_in_pairs():
         for label in later:
             pairwise = compose_evaluated(pairwise, label)
         assert label_bytes(compose_evaluated(first, *later)) == label_bytes(pairwise)
+
+
+def test_compose_reads_any_evaluated_first():
+    # `first` need not be as compose_evaluated returns it: gather rows below
+    # other rows, such as two permutations, and all-constant rows above
+    # live ones are fused and dropped over the whole stack, as composing in
+    # pairs does
+    rng = random.Random(36)
+
+    def permutation(n):
+        return Row(np.full(n, ID, dtype=np.uint8), np.array(rng.sample(range(n), n)))
+
+    def check(first, later):
+        got = compose_evaluated(first, *later)
+        want = referee.compose_evaluated(first, *later)
+        assert label_bytes(got) == label_bytes(want)
+        assert is_evaluated(got)
+        bits = random_bits(rng, n)
+        expected = apply(first, bits)
+        for label in later:
+            expected = apply(label, expected)
+        assert apply(got, bits).tolist() == apply(want, bits).tolist() == expected.tolist()
+
+    n = 8
+    two_permutations = Label(n, (permutation(n), permutation(n)))
+    check(two_permutations, [build_shift(n, "X")])
+    check(two_permutations, [build_boolean(n, "&", random_bits(rng, n)),
+                             build_unbounded(n, "U", "left", random_bits(rng, n))])
+    checked = 0
+    while checked < 300:
+        n = rng.randrange(1, 10)
+        stack = []
+        for _ in range(rng.randrange(2, 5)):
+            pick = rng.randrange(3)
+            if pick == 0:
+                stack.append(permutation(n))
+            elif pick == 1:
+                kind = np.array([rng.choice((FALSE, TRUE)) for _ in range(n)], dtype=np.uint8)
+                stack.append(Row(kind, np.arange(n)))
+            else:
+                stack += random_label(rng, n).rows
+        first = Label(n, stack)
+        later = [random_builder_label(rng, n) for _ in range(rng.randrange(1, 3))]
+        if is_evaluated(first) and any(label.rows for label in later):
+            check(first, later)
+            checked += 1
