@@ -47,7 +47,6 @@ from .contraction import (
     check,
     init_tree,
     run_contraction,
-    verify_tree,
 )
 
 __version__ = "0.1.0"

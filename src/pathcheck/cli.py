@@ -48,10 +48,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except PathcheckError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (PathcheckError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:

@@ -5,6 +5,10 @@ whose leaves are its literals, negations folded into operator duals on the
 way down (the tree of its positive normal form); unary step operators are
 swallowed into the edges. Every edge carries a transducer that maps the
 sequence below the edge to the sequence the rest of the formula expects.
+The tree keeps only what contracting reads: each inner node's operator,
+each edge's label and each leaf's bits and number. The formula is not
+stored; what an edge stands for follows from the formula and the tree's
+shape, which is how the tests check it.
 
 Every edge label is a stack of n-wide rows (`rows.Label`). Contracting a
 leaf applies its edge to its literal's bit column, specializes the parent
@@ -20,7 +24,6 @@ the whole formula's sequence.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
@@ -28,60 +31,48 @@ import numpy as np
 
 from . import builder
 from .errors import ContractionError, TraceError
-from .formula import (
-    _DUAL, TOKENS, UNARY_TEMPORAL, Binary, Formula, Not, atom_names, format_formula, is_literal,
-)
+from .formula import _DUAL, TOKENS, Binary, Formula, Unary, atom_names
 from .formula import prune_bounds, to_pnf  # not called here; pathbench/tracer.py wraps these names
-from .rows import Label, apply, compose_evaluated, identity, is_evaluated
+from .rows import Label, apply, compose_evaluated, identity
 from .trace import Trace, atom_sequence, require_known
 
 ROOT = -1
 
+# every operator class but Not -> its token under even and odd polarity
+_TOKENS = {cls: (TOKENS[cls], TOKENS[dual]) for cls, dual in _DUAL.items()}
+
+
 class ContractionTree:
-    """Mutable contraction state over one trace.
+    """Mutable contraction state over a trace of n positions.
 
     Nodes are identified by their preorder index in the formula's PNF, unary
     occurrences counted (`init_tree`); ROOT (-1) marks the region above the
     topmost node. `children[v]` lists v's children left to right, so a
-    node's side is its index there. `labels[v]` is the row label on the edge
-    from v's parent down to v, and `edge_formula[v]` is the subformula whose
-    sequence that edge must emit when fed v's sequence (it differs from v's
-    own formula exactly when the edge swallowed unary operators, and is
-    inherited when edges merge).
+    node's side is its index there, and `labels[v]` is the row label on the
+    edge from v's parent down to v. `ops[v]` is inner node v's operator as
+    (token, bound): the token of its PNF operator, the dual under an odd
+    number of negations, and its bound, None where the operator is unbounded
+    or its bound reaches n - 1. A leaf has a number (`leaf_numbers`) and its
+    literal's bits (`literal_bits`).
     """
 
-    __slots__ = (
-        "trace",
-        "n",
-        "node_formula",
-        "parent",
-        "children",
-        "labels",
-        "edge_formula",
-        "leaf_numbers",
-        "literal_bits",
-    )
+    __slots__ = ("n", "parent", "children", "labels", "ops", "leaf_numbers", "literal_bits")
 
-    def __init__(self, trace: Trace):
-        self.trace = trace
-        self.n = len(trace)
-        self.node_formula: dict[int, Formula] = {}
+    def __init__(self, n: int):
+        self.n = n
         self.parent: dict[int, int] = {}
         self.children: dict[int, list[int]] = {}
         self.labels: dict[int, Label] = {}
-        self.edge_formula: dict[int, Formula] = {}
+        self.ops: dict[int, tuple[str, Optional[int]]] = {}
         self.leaf_numbers: dict[int, int] = {}
         self.literal_bits: dict[int, np.ndarray] = {}
 
     def copy(self) -> "ContractionTree":
-        t = ContractionTree.__new__(ContractionTree)
-        t.trace = self.trace
-        t.n = self.n
-        t.node_formula = dict(self.node_formula)
+        t = ContractionTree(self.n)
         t.parent = dict(self.parent)
         t.children = {k: list(v) for k, v in self.children.items()}
         t.labels = dict(self.labels)
-        t.edge_formula = dict(self.edge_formula)
+        t.ops = dict(self.ops)
         t.leaf_numbers = dict(self.leaf_numbers)
         t.literal_bits = dict(self.literal_bits)
         return t
@@ -94,21 +85,20 @@ def init_tree(f: Formula, trace: Trace) -> ContractionTree:
     """Build the initial tree for a formula, as parsed, over a trace in one
     preorder walk that carries the polarity down, as `formula.fold` does.
 
-    A Not is no node; under an odd number of them a node stands for its dual
-    (`_DUAL`) and stores `Not(g)`, which has the dual's sequence, so nodes
-    are numbered by their preorder index in the formula's PNF, unary
-    occurrences counted. Unary operators never become nodes: the walk
-    carries each chain down as nested (operator, polarity, rest) triples,
-    and the edge to the first non-unary subformula beneath it gets the whole
-    chain as one gather row (`builder.build_shifts`, the row that composing
-    the shifts innermost first would give), built once per distinct chain
-    in the call. Other edges keep the identity.
+    A Not is no node; under an odd number of them a node stands for its
+    dual, so nodes are numbered by their preorder index in the formula's
+    PNF, unary occurrences counted. Unary operators never become nodes: the
+    walk carries each chain down as nested (token, rest) pairs, and the edge
+    to the first non-unary subformula beneath it gets the whole chain as one
+    gather row (`builder.build_shifts`, the row that composing the shifts
+    innermost first would give), built once per distinct chain in the call.
+    Other edges keep the identity.
     Leaves are numbered as preorder reaches them, left to right. Once every
     name is known to the trace, each distinct literal's bit column is built
     once, as a bool array shared by its leaves.
     """
-    tree = ContractionTree(trace)
-    n = tree.n
+    n = len(trace)
+    tree = ContractionTree(n)
     ident = identity(n)
     literals: dict[int, tuple[str, bool]] = {}  # leaf -> (name, negated)
     shift_rows: dict[tuple[str, ...], Label] = {}  # chain, innermost first -> its row
@@ -117,29 +107,31 @@ def init_tree(f: Formula, trace: Trace) -> ContractionTree:
     node = -1
     while todo:
         g, neg, parent, chain = todo.pop()
-        if type(g) is Not:
-            todo.append((g.child, not neg, parent, chain))
+        if isinstance(g, Unary):
+            tokens = _TOKENS.get(type(g))
+            if tokens is None:  # a Not: no node, the polarity flips
+                todo.append((g.child, not neg, parent, chain))
+            else:
+                node += 1
+                todo.append((g.child, neg, parent, (tokens[neg], chain)))
             continue
         node += 1
-        if isinstance(g, UNARY_TEMPORAL):
-            todo.append((g.child, neg, parent, (g, neg, chain)))
-            continue
-        tree.node_formula[node] = tree.edge_formula[node] = Not(g) if neg else g
         if chain is None:
             tree.labels[node] = ident
         else:
             shifts = []  # innermost first
             while chain is not None:
-                u, uneg, chain = chain
-                shifts.append(TOKENS[_DUAL[type(u)] if uneg else type(u)])
+                token, chain = chain
+                shifts.append(token)
             key = tuple(shifts)
             if key not in shift_rows:
                 shift_rows[key] = builder.build_shifts(n, key)
             tree.labels[node] = shift_rows[key]
-            tree.edge_formula[node] = Not(u) if uneg else u
         tree.parent[node] = parent
         tree.children[parent].append(node)  # left is reached first
         if isinstance(g, Binary):
+            bound = g.bound
+            tree.ops[node] = (_TOKENS[type(g)][neg], bound if bound is None or bound < n - 1 else None)
             tree.children[node] = []
             todo += [(g.right, neg, node, None), (g.left, neg, node, None)]
         else:
@@ -160,21 +152,17 @@ class _Plan(NamedTuple):
     new_label: Label
 
 
-def _build_partial(f: Formula, known_side: str, known, n: int) -> Label:
-    """The operator node f (a node Not(g) is g's dual) specialized on its
-    known operand: evaluated, except for the raw chain row of an unbounded
-    operator and the raw collapsed row of a bounded operator with its right
-    side known, which the compose settles. A bound of at least n - 1 lets
-    every window reach the trace's end, so that operator is built as
-    unbounded."""
-    g = f.child if isinstance(f, Not) else f
-    if not isinstance(g, Binary):
-        raise ContractionError(f"not a binary operator node: {format_formula(f)}")
-    op = TOKENS[_DUAL[type(g)] if g is not f else type(g)]
+def _build_partial(op: str, bound: Optional[int], known_side: str, known, n: int) -> Label:
+    """An operator node's `ops` entry specialized on its known operand:
+    evaluated, except for the raw chain row of an unbounded operator and the
+    raw collapsed row of a bounded operator with its right side known, which
+    the compose settles. A bound of at least n - 1 lets every window reach
+    the trace's end, so `init_tree` stores it as None and the operator is
+    built as unbounded."""
     if op in ("&", "|"):
         return builder.build_boolean(n, op, known)
-    if g.bound is not None and g.bound < n - 1:
-        return builder.build_bounded(n, op, g.bound, known_side, known)
+    if bound is not None:
+        return builder.build_bounded(n, op, bound, known_side, known)
     return builder._raw_unbounded(n, op, known_side, known)
 
 
@@ -187,7 +175,7 @@ def _plan(tree: ContractionTree, leaf: int) -> _Plan:
     edge, known = tree.labels[leaf], tree.literal_bits[leaf]
     if edge.rows:
         known = apply(edge, known)
-    partial = _build_partial(tree.node_formula[p], ("left", "right")[half], known, tree.n)
+    partial = _build_partial(*tree.ops[p], ("left", "right")[half], known, tree.n)
     # the partial goes on top of the sibling's edge, so that a raw row is
     # the bottom of a later label, where compose_evaluated folds it
     new_label = compose_evaluated(tree.labels[sibling], partial, tree.labels[p])
@@ -195,18 +183,13 @@ def _plan(tree: ContractionTree, leaf: int) -> _Plan:
 
 
 def _apply_plan(tree: ContractionTree, plan: _Plan) -> None:
-    tree.edge_formula[plan.sibling] = tree.edge_formula[plan.parent]
     tree.labels[plan.sibling] = plan.new_label
     tree.children[plan.grandparent][plan.parent_slot] = plan.sibling
     tree.parent[plan.sibling] = plan.grandparent
     for node in (plan.leaf, plan.parent):
-        tree.node_formula.pop(node)
-        tree.parent.pop(node)
-        tree.labels.pop(node)
-        tree.edge_formula.pop(node)
-        tree.children.pop(node, None)
-    tree.literal_bits.pop(plan.leaf, None)
-    tree.leaf_numbers.pop(plan.leaf, None)
+        del tree.parent[node], tree.labels[node]
+    del tree.literal_bits[plan.leaf], tree.leaf_numbers[plan.leaf]
+    del tree.children[plan.parent], tree.ops[plan.parent]
 
 
 @dataclass
@@ -239,7 +222,7 @@ def run_contraction(
     initial = len(numbers)
     if initial == 0:
         raise ContractionError("tree has no leaves")
-    budget = max(1, math.ceil(math.log2(initial))) if initial > 1 else 0
+    budget = (initial - 1).bit_length()
     if record is not None:
         record.initial_leaves = initial
         record.leaf_counts.append(initial)
@@ -299,67 +282,6 @@ def _assert_disjoint(plans: list[_Plan]) -> None:
         rewritten.add(p.sibling)
         if p.grandparent != ROOT and p.grandparent in removed:
             raise ContractionError("overlapping contraction plans")
-
-
-def verify_tree(tree: ContractionTree) -> None:
-    """Check the tree invariants; raises ContractionError on violation.
-
-    Structure: ROOT has one child, inner nodes two, every parent/child
-    pointer agrees, leaves are exactly the literal nodes and carry numbers
-    that increase from left to right.
-    Labels: every edge holds an n -> n row label that is evaluated
-    (`rows.is_evaluated`: well-formed rows, no cell reading a constant),
-    checked on the rows without building a gate view.
-    Semantics: feeding a node's own sequence through its edge label yields
-    the sequence of the subformula the edge stands for.
-    """
-    from .semantics import eval_seq  # referee only; the engine never calls this
-
-    n = tree.n
-    if ROOT not in tree.children or len(tree.children[ROOT]) != 1:
-        raise ContractionError("ROOT must have exactly one child")
-    live = set(tree.node_formula)
-    seen: set[int] = set()
-    last = -1  # the number of the leaf before, left to right
-    stack = [tree.top()]
-    while stack:
-        v = stack.pop()
-        if v not in live or v in seen:
-            raise ContractionError(f"node {v} is dangling or repeated")
-        seen.add(v)
-        ch = tree.children.get(v)
-        if ch is None:
-            if not is_literal(tree.node_formula[v]):
-                raise ContractionError(f"leaf {v} is not a literal")
-            if v not in tree.leaf_numbers or v not in tree.literal_bits:
-                raise ContractionError(f"leaf {v} is missing its number or bits")
-            if tree.leaf_numbers[v] <= last:
-                raise ContractionError("leaf numbers do not increase from left to right")
-            last = tree.leaf_numbers[v]
-        else:
-            if len(ch) != 2:
-                raise ContractionError(f"inner node {v} must have two children")
-            if is_literal(tree.node_formula[v]):
-                raise ContractionError(f"inner node {v} is a literal")
-            if any(tree.parent.get(c) != v for c in ch):
-                raise ContractionError(f"child pointers of {v} are inconsistent")
-            stack += reversed(ch)  # the left child is popped first
-    if seen != live:
-        raise ContractionError("tree does not reach every live node")
-    if set(tree.leaf_numbers) != seen - set(tree.children):
-        raise ContractionError("the numbered nodes are not the live leaves")
-    for v in live:
-        label = tree.labels.get(v)
-        if label is None:
-            raise ContractionError(f"edge to {v} has no label")
-        if label.arity_in != n or label.arity_out != n:
-            raise ContractionError(f"edge to {v} is not an n->n transducer")
-        if not is_evaluated(label):
-            raise ContractionError(f"edge to {v} is not evaluated")
-        child_seq = eval_seq(tree.trace, tree.node_formula[v])
-        want = eval_seq(tree.trace, tree.edge_formula[v])
-        if tuple(apply(label, child_seq).tolist()) != want:
-            raise ContractionError(f"edge to {v} does not compute its subformula")
 
 
 @dataclass(frozen=True, eq=False)

@@ -220,11 +220,6 @@ def _binary(cls: type, left: Formula, right: Formula, bound: Optional[int]) -> B
     return cls(left, right) if bound is None else cls(left, right, bound)
 
 
-def is_literal(f: Formula) -> bool:
-    """An atom or a negated atom; the only leaves a PNF tree may have."""
-    return isinstance(f, Atom) or (isinstance(f, Not) and isinstance(f.child, Atom))
-
-
 def _format_binary(node: Binary, left: str, right: str, neg: bool) -> str:
     tok = TOKENS[type(node)]
     if node.bound is not None:

@@ -39,8 +39,7 @@ cut of the chain cells left next to a constant. A builder's raw row is
 settled there, once. Then, once over the whole stack, it drops every row
 below the topmost all-constant row and fuses each pure-gather row
 (constants and IDs, such as a shift) into the row above by composing
-indices, so the first label may be any evaluated stack. `is_evaluated`
-checks that invariant on the rows themselves.
+indices, so the first label may be any evaluated stack.
 
 Labels keep the reading interface of `circuit.Transducer` (`circuit`,
 `inputs`, `outputs`) through a gate view built on demand, which the DOT
@@ -181,7 +180,6 @@ class Label:
         return self._view
 
     inputs = property(lambda self: tuple(range(self.n)))
-    arity_in = arity_out = property(lambda self: self.n)
 
     @property
     def outputs(self) -> tuple[int, ...]:
@@ -220,13 +218,6 @@ def apply(label: Label, bits) -> np.ndarray:
         if row.top >= COPY:
             v = v[_next(v != _NEXT, row.d)]
     return v.view(bool)
-
-
-def _any_before(cells: np.ndarray, ends: np.ndarray, d: int) -> bool:
-    """Whether some cell i has cells[i] and ends[i + d]."""
-    if d > 0:
-        return bool((cells[:-1] & ends[1:]).any())
-    return bool((cells[1:] & ends[:-1]).any())
 
 
 def fold(row: Row, below: Row | None = None) -> Row:
@@ -335,38 +326,6 @@ def compose_evaluated(first: Label, *later: Label) -> Label:
             row = Row(row.kind, a, b, row.d, top=row.top, consts=row.consts)
         fused.append(row)
     return Label(first.n, fused)
-
-
-def is_evaluated(label: Label) -> bool:
-    """Whether every row is well formed and no cell reads a constant.
-
-    Every row holds n cells whose operands a and b lie in [0, n). No ID,
-    AND, OR or chain AND/OR cell reads a constant of the row below through
-    a, and no AND or OR cell does through b. A row with chain cells runs in
-    direction d = +1 or -1, its far end is not a chain cell, and no chain
-    cell's neighbour at i + d is a constant.
-    """
-    n = label.n
-    below = np.zeros(n, dtype=bool)  # the variables: no constants
-    for row in label.rows:
-        kind = row.kind
-        if any(x.shape != (n,) for x in (kind, row.a, row.b)):
-            return False
-        if min(row.a.min(), row.b.min()) < 0 or max(row.a.max(), row.b.max()) >= n:
-            return False
-        reads_a = (kind >= ID) & (kind != COPY)
-        reads_b = (kind == AND) | (kind == OR)
-        if (reads_a & below[row.a]).any() or (reads_b & below[row.b]).any():
-            return False
-        const = kind <= TRUE
-        chain = kind >= COPY
-        if chain.any():
-            if row.d not in (1, -1) or chain[n - 1 if row.d > 0 else 0]:
-                return False
-            if _any_before(chain, const, row.d):
-                return False
-        below = const
-    return True
 
 
 def _flatten(label: Label) -> Circuit:

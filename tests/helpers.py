@@ -1,9 +1,13 @@
 """Shared test utilities: bit-parallel truth tables, random circuits,
-random row labels, wide formulas and single-leaf contraction steps."""
+random row labels, wide formulas, single-leaf contraction steps and the
+contraction-tree referee (`verify_tree`, with the row invariant
+`is_evaluated` and the formulas a tree's nodes and edges stand for)."""
 
 from __future__ import annotations
 
 import random
+
+import numpy as np
 
 from pathcheck import contraction
 from pathcheck.builder import build_boolean, build_bounded, build_shift, build_unbounded
@@ -18,11 +22,14 @@ from pathcheck.circuit import (
     Transducer,
     evaluate,
 )
+from pathcheck.contraction import ROOT
+from pathcheck.errors import ContractionError
 from pathcheck.formula import (
-    TRUE_NAME, FALSE_NAME, And, Atom, Formula, Next, Not, Or, Release, Since, Trigger, Until,
-    WeakNext, WeakYesterday, Yesterday,
+    _DUAL, TOKENS, TRUE_NAME, FALSE_NAME, And, Atom, Binary, Formula, Next, Not, Or, Release,
+    Since, Trigger, Unary, Until, WeakNext, WeakYesterday, Yesterday,
 )
-from pathcheck.rows import Label, compose_evaluated, identity
+from pathcheck.rows import AND, COPY, ID, OR, TRUE, Label, apply, compose_evaluated, identity
+from pathcheck.semantics import eval_seq
 from pathcheck.trace import Trace, make_trace
 
 
@@ -159,6 +166,166 @@ def contract_step(tree: contraction.ContractionTree, leaf: int) -> contraction.C
     out = tree.copy()
     contraction._apply_plan(out, contraction._plan(tree, leaf))
     return out
+
+
+def is_literal(f: Formula) -> bool:
+    """An atom or a negated atom; the only leaves a PNF tree may have."""
+    return isinstance(f, Atom) or (isinstance(f, Not) and isinstance(f.child, Atom))
+
+
+def _any_before(cells: np.ndarray, ends: np.ndarray, d: int) -> bool:
+    """Whether some cell i has cells[i] and ends[i + d]."""
+    if d > 0:
+        return bool((cells[:-1] & ends[1:]).any())
+    return bool((cells[1:] & ends[:-1]).any())
+
+
+def is_evaluated(label: Label) -> bool:
+    """Whether every row is well formed and no cell reads a constant.
+
+    Every row holds n cells whose operands a and b lie in [0, n). No ID,
+    AND, OR or chain AND/OR cell reads a constant of the row below through
+    a, and no AND or OR cell does through b. A row with chain cells runs in
+    direction d = +1 or -1, its far end is not a chain cell, and no chain
+    cell's neighbour at i + d is a constant.
+    """
+    n = label.n
+    below = np.zeros(n, dtype=bool)  # the variables: no constants
+    for row in label.rows:
+        kind = row.kind
+        if any(x.shape != (n,) for x in (kind, row.a, row.b)):
+            return False
+        if min(row.a.min(), row.b.min()) < 0 or max(row.a.max(), row.b.max()) >= n:
+            return False
+        reads_a = (kind >= ID) & (kind != COPY)
+        reads_b = (kind == AND) | (kind == OR)
+        if (reads_a & below[row.a]).any() or (reads_b & below[row.b]).any():
+            return False
+        const = kind <= TRUE
+        chain = kind >= COPY
+        if chain.any():
+            if row.d not in (1, -1) or chain[n - 1 if row.d > 0 else 0]:
+                return False
+            if _any_before(chain, const, row.d):
+                return False
+        below = const
+    return True
+
+
+def occurrences(f: Formula) -> dict[int, tuple[Formula, int]]:
+    """Every node id `init_tree` gives f's occurrences -> (the formula the
+    occurrence stands for, the id of the occurrence above it or ROOT).
+
+    Ids count f's occurrences in preorder, unary ones included; a Not is no
+    occurrence, and one under an odd number of them stands for Not(g)."""
+    out = {}
+    todo = [(f, False, ROOT)]
+    while todo:
+        g, neg, above = todo.pop()
+        if type(g) is Not:
+            todo.append((g.child, not neg, above))
+            continue
+        node = len(out)
+        out[node] = (Not(g) if neg else g, above)
+        if isinstance(g, Binary):
+            todo += [(g.right, neg, node), (g.left, neg, node)]
+        elif isinstance(g, Unary):
+            todo.append((g.child, neg, node))
+    return out
+
+
+def edge_formula(occ: dict[int, tuple[Formula, int]], parent: int, v: int) -> Formula:
+    """The formula the edge from `parent` down to v stands for: the topmost
+    occurrence below `parent` on the path to v."""
+    u = v
+    while occ[u][1] != parent:
+        u = occ[u][1]
+        if u == ROOT:
+            raise ContractionError(f"node {parent} is not above node {v}")
+    return occ[u][0]
+
+
+def tree_formulas(tree: contraction.ContractionTree, f: Formula) -> tuple[dict, dict]:
+    """(node formulas, edge formulas) of the live nodes of a tree built from
+    f, derived from f and the tree's parent map."""
+    occ = occurrences(f)
+    nodes = {v: occ[v][0] for v in tree.parent}
+    return nodes, {v: edge_formula(occ, p, v) for v, p in tree.parent.items()}
+
+
+def expected_op(g: Formula, n: int) -> tuple:
+    """The `ops` entry of the inner node that stands for g."""
+    neg = type(g) is Not
+    if neg:
+        g = g.child
+    if not isinstance(g, Binary):
+        return None
+    bound = g.bound if g.bound is not None and g.bound < n - 1 else None
+    return TOKENS[_DUAL[type(g)] if neg else type(g)], bound
+
+
+def verify_tree(tree: contraction.ContractionTree, f: Formula, trace) -> None:
+    """Check the invariants of a tree that contraction made from
+    `init_tree(f, trace)`; raises ContractionError on violation.
+
+    Structure: ROOT has one child, inner nodes two, every parent/child
+    pointer agrees, leaves are exactly the literal nodes and carry numbers
+    that increase from left to right, and each inner node's `ops` entry is
+    its operator's.
+    Labels: every edge holds an n -> n row label that is evaluated
+    (`is_evaluated`: well-formed rows, no cell reading a constant),
+    checked on the rows without building a gate view.
+    Semantics: feeding a node's own sequence through its edge label yields
+    the sequence of the subformula the edge stands for (`edge_formula`).
+    """
+    n = tree.n
+    if ROOT not in tree.children or len(tree.children[ROOT]) != 1:
+        raise ContractionError("ROOT must have exactly one child")
+    occ = occurrences(f)
+    live = set(tree.parent)
+    seen: set[int] = set()
+    last = -1  # the number of the leaf before, left to right
+    stack = [tree.top()]
+    while stack:
+        v = stack.pop()
+        if v not in live or v in seen or v not in occ:
+            raise ContractionError(f"node {v} is dangling or repeated")
+        seen.add(v)
+        ch = tree.children.get(v)
+        if ch is None:
+            if not is_literal(occ[v][0]):
+                raise ContractionError(f"leaf {v} is not a literal")
+            if v not in tree.leaf_numbers or v not in tree.literal_bits:
+                raise ContractionError(f"leaf {v} is missing its number or bits")
+            if tree.leaf_numbers[v] <= last:
+                raise ContractionError("leaf numbers do not increase from left to right")
+            last = tree.leaf_numbers[v]
+        else:
+            if len(ch) != 2:
+                raise ContractionError(f"inner node {v} must have two children")
+            if is_literal(occ[v][0]):
+                raise ContractionError(f"inner node {v} is a literal")
+            if tree.ops.get(v) != expected_op(occ[v][0], n):
+                raise ContractionError(f"inner node {v} has the wrong operator")
+            if any(tree.parent.get(c) != v for c in ch):
+                raise ContractionError(f"child pointers of {v} are inconsistent")
+            stack += reversed(ch)  # the left child is popped first
+    if seen != live:
+        raise ContractionError("tree does not reach every live node")
+    if set(tree.leaf_numbers) != seen - set(tree.children):
+        raise ContractionError("the numbered nodes are not the live leaves")
+    for v in live:
+        label = tree.labels.get(v)
+        if label is None:
+            raise ContractionError(f"edge to {v} has no label")
+        if label.n != n:
+            raise ContractionError(f"edge to {v} is not an n->n transducer")
+        if not is_evaluated(label):
+            raise ContractionError(f"edge to {v} is not evaluated")
+        child_seq = eval_seq(trace, occ[v][0])
+        want = eval_seq(trace, edge_formula(occ, tree.parent[v], v))
+        if tuple(apply(label, child_seq).tolist()) != want:
+            raise ContractionError(f"edge to {v} does not compute its subformula")
 
 
 def shuffle_plans(monkeypatch, seed: int) -> list[int]:

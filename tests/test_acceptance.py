@@ -21,7 +21,7 @@ from pathcheck.circuit import (
     evaluate,
     to_dot,
 )
-from pathcheck.contraction import ContractionRecord, check, init_tree, run_contraction, verify_tree
+from pathcheck.contraction import ContractionRecord, check, init_tree, run_contraction
 from pathcheck.formula import (
     And,
     Atom,
@@ -45,7 +45,9 @@ from pathcheck.semantics import eval_seq
 from pathcheck.trace import make_trace
 
 from gates import apply, compose, constants_are_sinks
-from helpers import contract_step, random_builder_label, random_label, shuffle_plans, truth_table
+from helpers import (
+    contract_step, random_builder_label, random_label, shuffle_plans, truth_table, verify_tree,
+)
 
 FULL_CFG = CampaignConfig(cases=10_000, max_size=20, max_len=50, max_bound=10, seed=0)
 
@@ -282,11 +284,11 @@ def test_c9_tree_invariants():
             tr = random_trace(rng, 12)
             g = prune_bounds(to_pnf(f), len(tr))
             t = init_tree(g, tr)
-            verify_tree(t)
+            verify_tree(t, g, tr)
             while len(t.leaf_numbers) > 1:
                 leaf = rng.choice(sorted(t.leaf_numbers))
                 t = contract_step(t, leaf)
-                verify_tree(t)
+                verify_tree(t, g, tr)
                 steps += 1
             last = t.top()
             assert apply(t.labels[last], t.literal_bits[last]) == eval_seq(tr, g)

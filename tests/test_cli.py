@@ -420,6 +420,16 @@ class TestSelftest:
         assert rc == 0
         assert "PASS" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("seed,digest", [
+        ("1", "148aa74ad4c5e534fccb5aa638ac30afdd11732ba04834e61847dca27cf0d20d"),
+        ("7", "1d5de8c0537745f6cf2f078d46c66084b0d74921b3ab74a9b2273e6fefceee62"),
+        ("42", "b970c88f8cf5734987464cd50715d6d82df8a95dfbe55386d6ef97e2683cc6d5"),
+    ])
+    def test_default_campaign_digest_is_pinned(self, capsys, seed, digest):
+        rc = main(["selftest", "--cases", "2000", "--seed", seed, "--processes", "1"])
+        assert rc == 0
+        assert f"digest: {digest}" in capsys.readouterr().out.splitlines()
+
     def test_digest_reproducible(self, capsys):
         main(["selftest", "--cases", "30", "--max-size", "8", "--max-len", "8",
               "--seed", "5", "--processes", "1"])

@@ -14,7 +14,6 @@ from pathcheck.contraction import (
     check,
     init_tree,
     run_contraction,
-    verify_tree,
 )
 from pathcheck.errors import (
     ContractionError,
@@ -23,12 +22,15 @@ from pathcheck.errors import (
 )
 from pathcheck.campaign import CampaignConfig, case_seed, random_formula
 from pathcheck.campaign import random_trace as campaign_trace
-from pathcheck.formula import Binary, is_literal, parse, prune_bounds, to_pnf
+from pathcheck.formula import Binary, parse, prune_bounds, to_pnf
 from pathcheck.semantics import eval_seq
 from pathcheck.trace import Trace, make_trace
 
 from gates import apply, constants_are_sinks, is_identity
-from helpers import contract_step, random_builder_label, shuffle_plans, truth_table, wide_cases
+from helpers import (
+    contract_step, is_literal, random_builder_label, shuffle_plans, tree_formulas, truth_table,
+    verify_tree, wide_cases,
+)
 from test_builder import random_trace
 from test_formula import formulas
 from test_referee import stages
@@ -94,22 +96,23 @@ class TestInitTree:
     def test_all_identity_labels_without_unary(self):
         tr = small_trace()
         t = init_tree(parse(NESTED_UNTIL), tr)
+        node_formula, edge_formula = tree_formulas(t, parse(NESTED_UNTIL))
         assert len(t.literal_bits) == 5
-        inner = [v for v in t.node_formula if v in t.children]
+        inner = [v for v in node_formula if v in t.children]
         assert len(inner) == 4
-        for v in t.node_formula:
+        for v in node_formula:
             assert is_identity_label(t.labels[v], len(tr))
-            assert t.edge_formula[v] == t.node_formula[v]
+            assert edge_formula[v] == node_formula[v]
 
     def test_unary_chain_is_one_edge(self):
         tr = bits_trace(a="0110")
         t = init_tree(parse("X X a"), tr)
         # only the atom remains as a node, directly under ROOT
-        assert set(t.node_formula) == {2}
+        assert set(t.parent) == {2}
         assert t.children[ROOT] == [2]
-        assert t.edge_formula[2] == parse("X X a")
+        assert tree_formulas(t, parse("X X a"))[1][2] == parse("X X a")
         label = t.labels[2]
-        assert label.arity_in == label.arity_out == 4
+        assert label.n == 4
         got = apply(label, t.literal_bits[2])
         assert got == eval_seq(tr, parse("X X a"))
 
@@ -127,15 +130,16 @@ class TestInitTree:
     def test_unary_above_binary(self):
         tr = bits_trace(a="0110", b="1011")
         t = init_tree(parse("wY (a U (X b))"), tr)
+        node_formula, edge_formula = tree_formulas(t, parse("wY (a U (X b))"))
         # nodes: the Until occurrence and the two literals
-        until = [v for v in t.node_formula if v in t.children]
+        until = [v for v in node_formula if v in t.children]
         assert len(until) == 1
         u = until[0]
         assert t.children[ROOT] == [u]
-        assert t.edge_formula[u] == parse("wY (a U (X b))")
+        assert edge_formula[u] == parse("wY (a U (X b))")
         left, right = t.children[u]
-        assert t.edge_formula[left] == parse("a")
-        assert t.edge_formula[right] == parse("X b")
+        assert edge_formula[left] == parse("a")
+        assert edge_formula[right] == parse("X b")
         assert apply(t.labels[right], t.literal_bits[right]) == eval_seq(
             tr, parse("X b")
         )
@@ -157,17 +161,20 @@ class TestInitTree:
             for n in (1, 2, 3, 5, 12):
                 tr = random_trace(rng, n, names=("a", "b", "c"))
                 assert stages(f, tr) == stages(prune_bounds(to_pnf(f), n), tr), (text, n)
-        t = init_tree(parse("! X ! (a S[2] b)"), random_trace(rng, 5, names=("a", "b")))
-        verify_tree(t)
-        assert t.node_formula[1] == parse("a S[2] b")
-        assert t.edge_formula[1] == parse("! X ! (a S[2] b)")
+        f = parse("! X ! (a S[2] b)")
+        tr = random_trace(rng, 5, names=("a", "b"))
+        t = init_tree(f, tr)
+        verify_tree(t, f, tr)
+        node_formula, edge_formula = tree_formulas(t, f)
+        assert node_formula[1] == parse("a S[2] b")
+        assert edge_formula[1] == parse("! X ! (a S[2] b)")
 
     @settings(max_examples=80, deadline=None)
     @given(formulas(), traces())
     def test_invariants_hold_after_init(self, f, tr):
         g = prune_bounds(to_pnf(f), len(tr))
         t = init_tree(g, tr)
-        verify_tree(t)
+        verify_tree(t, g, tr)
         for v, ch in t.children.items():
             if v != ROOT:
                 assert len(ch) == 2
@@ -177,12 +184,13 @@ class TestInitTree:
         f = parse("X wY (a U (c & ! (a | b)))")
         assert stages(f, tr) == stages(prune_bounds(to_pnf(f), len(tr)), tr)
         t = init_tree(f, tr)
-        verify_tree(t)
+        verify_tree(t, f, tr)
         # preorder over the PNF: 0 X, 1 wY, 2 U, 3 a, 4 &, 5 c, 6 the dual of
         # |, 7 and 8 the negated literals
-        assert sorted(t.node_formula) == [2, 3, 4, 5, 6, 7, 8]
-        assert t.node_formula[6] == parse("! (a | b)")
-        assert t.node_formula[7] == parse("! a")
+        assert sorted(t.parent) == [2, 3, 4, 5, 6, 7, 8]
+        node_formula = tree_formulas(t, f)[0]
+        assert node_formula[6] == parse("! (a | b)")
+        assert node_formula[7] == parse("! a")
         assert t.literal_bits[8].tolist() == [False, True]
 
     def test_campaign_formulas_read_as_their_pnf(self):
@@ -197,7 +205,7 @@ class TestInitTree:
     @given(formulas(max_leaves=12), traces())
     def test_any_formula_reads_as_its_pnf(self, f, tr):
         assert stages(f, tr) == stages(prune_bounds(to_pnf(f), len(tr)), tr)
-        verify_tree(init_tree(f, tr))
+        verify_tree(init_tree(f, tr), f, tr)
 
     @settings(max_examples=100, deadline=None)
     @given(formulas(), traces())
@@ -205,7 +213,7 @@ class TestInitTree:
         g = prune_bounds(to_pnf(f), len(tr))
         t = init_tree(g, tr)
         ids = preorder_ids(g)
-        assert sorted(t.node_formula.items()) == ids
+        assert sorted(tree_formulas(t, g)[0].items()) == ids
         assert leaves_left_to_right(t) == [v for v, h in ids if is_literal(h)]
 
     def test_repeated_literal_is_two_leaves(self):
@@ -213,7 +221,8 @@ class TestInitTree:
         t = init_tree(to_pnf(parse("a & a")), tr)
         assert t.children[0] == [1, 2]
         assert t.leaf_numbers == {1: 0, 2: 1}
-        assert t.node_formula[1] == t.node_formula[2] == parse("a")
+        node_formula = tree_formulas(t, to_pnf(parse("a & a")))[0]
+        assert node_formula[1] == node_formula[2] == parse("a")
         assert t.literal_bits[1] is t.literal_bits[2]
 
 
@@ -241,18 +250,18 @@ class TestContractStep:
     def test_purity(self):
         tr = bits_trace(a="1010", b="0110")
         t = init_tree(parse("a U b"), tr)
-        before = (dict(t.node_formula), dict(t.leaf_numbers), dict(t.parent))
+        before = (dict(t.ops), dict(t.leaf_numbers), dict(t.parent))
         leaf = leaves_left_to_right(t)[0]
         t2 = contract_step(t, leaf)
-        assert (dict(t.node_formula), dict(t.leaf_numbers), dict(t.parent)) == before
-        assert set(t2.node_formula) < set(t.node_formula)
+        assert (dict(t.ops), dict(t.leaf_numbers), dict(t.parent)) == before
+        assert set(t2.parent) < set(t.parent)
 
     def test_edge_formula_inherited(self):
         tr = bits_trace(a="1010", b="0110")
         t = init_tree(parse("X (a & b)"), tr)
         leaf_a, leaf_b = leaves_left_to_right(t)
         t2 = contract_step(t, leaf_a)
-        assert t2.edge_formula[leaf_b] == parse("X (a & b)")
+        assert tree_formulas(t2, parse("X (a & b)"))[1][leaf_b] == parse("X (a & b)")
         assert apply(t2.labels[leaf_b], t2.literal_bits[leaf_b]) == eval_seq(
             tr, parse("X (a & b)")
         )
@@ -262,12 +271,12 @@ class TestContractStep:
     def test_invariants_hold_after_every_step(self, f, tr):
         g = prune_bounds(to_pnf(f), len(tr))
         t = init_tree(g, tr)
-        verify_tree(t)
+        verify_tree(t, g, tr)
         rng = random.Random(1234)
         while len(t.leaf_numbers) > 1:
             leaf = rng.choice(sorted(t.leaf_numbers))
             t = contract_step(t, leaf)
-            verify_tree(t)
+            verify_tree(t, g, tr)
         last = t.top()
         assert apply(t.labels[last], t.literal_bits[last]) == eval_seq(tr, g)
 
@@ -370,9 +379,9 @@ class TestRunContraction:
     def test_input_tree_unchanged(self):
         tr = bits_trace(a="01", b="10")
         t = init_tree(parse("a U b"), tr)
-        nodes = set(t.node_formula)
+        nodes = set(t.parent)
         run_contraction(t)
-        assert set(t.node_formula) == nodes
+        assert set(t.parent) == nodes
 
 
 def stage_digest(cases) -> str:
@@ -411,16 +420,18 @@ def test_stage_dump_is_pinned():
 
 class TestVerifyTreeLeafOrder:
     def test_rejects_swapped_numbers(self):
-        t = init_tree(parse("(a U b) & c"), small_trace())
+        f, tr = parse("(a U b) & c"), small_trace()
+        t = init_tree(f, tr)
         t.leaf_numbers[2], t.leaf_numbers[4] = t.leaf_numbers[4], t.leaf_numbers[2]
         with pytest.raises(ContractionError, match="left to right"):
-            verify_tree(t)
+            verify_tree(t, f, tr)
 
     def test_rejects_numbered_inner_node(self):
-        t = init_tree(parse("(a U b) & c"), small_trace())
+        f, tr = parse("(a U b) & c"), small_trace()
+        t = init_tree(f, tr)
         t.leaf_numbers[1] = 5
         with pytest.raises(ContractionError, match="numbered nodes"):
-            verify_tree(t)
+            verify_tree(t, f, tr)
 
     @settings(max_examples=60, deadline=None)
     @given(formulas(max_leaves=8), traces(max_len=6))
@@ -429,7 +440,7 @@ class TestVerifyTreeLeafOrder:
         stages = []
 
         def verify(t, stage):
-            verify_tree(t)
+            verify_tree(t, g, tr)
             stages.append(stage)
 
         seq = run_contraction(init_tree(g, tr), on_stage=verify)
@@ -446,7 +457,8 @@ class TestVerifyTreeLabels:
         for _ in range(200):
             n = rng.randrange(1, 9)
             tr = random_trace(rng, n)
-            t = init_tree(prune_bounds(to_pnf(parse("X (a U b) & Y (b S[2] a)")), n), tr)
+            g = prune_bounds(to_pnf(parse("X (a U b) & Y (b S[2] a)")), n)
+            t = init_tree(g, tr)
             first, second = random_builder_label(rng, n), random_builder_label(rng, n)
             stacked = rows.Label(n, first.rows + second.rows)
             if constants_are_sinks(stacked.circuit):
@@ -454,7 +466,7 @@ class TestVerifyTreeLabels:
             v = rng.choice(sorted(t.labels))
             t.labels[v] = stacked
             with pytest.raises(ContractionError, match=f"edge to {v} is not evaluated"):
-                verify_tree(t)
+                verify_tree(t, g, tr)
             rejected += 1
         assert rejected > 50
 
@@ -469,11 +481,79 @@ class TestVerifyTreeLabels:
         stages = []
 
         def verify(t, stage):
-            verify_tree(t)
+            verify_tree(t, f, tr)
             stages.append(stage)
 
         run_contraction(init_tree(f, tr), on_stage=verify)
         assert stages == [0, 1, 2, 3]
+
+
+class TestVerifyTreeEdgeFormulas:
+    """An edge stands for the topmost occurrence below its parent on the
+    path to its node, not for the node's own formula."""
+
+    F = "X (a & b) & (c & (d & e))"
+
+    def trace(self):
+        # a & b is 1100 and X (a & b) is 1000: the chain edge moves the bits
+        return bits_trace(a="1100", b="1111", c="0101", d="1010", e="0011")
+
+    def test_rejects_moved_label_at_stage_zero(self):
+        # nodes: 0 &, 1 X, 2 a & b, 3 a, 4 b, 5 &, 6 c, 7 &, 8 d, 9 e
+        f, tr = parse(self.F), self.trace()
+        t = init_tree(f, tr)
+        verify_tree(t, f, tr)
+        assert tree_formulas(t, f)[1][2] == parse("X (a & b)")
+        t.labels[2] = t.labels[6]  # the identity, from the edge to c
+        with pytest.raises(ContractionError, match="edge to 2 does not compute"):
+            verify_tree(t, f, tr)
+
+    def test_rejects_moved_label_after_stage_one(self):
+        f, tr = parse(self.F), self.trace()
+        after = {}
+
+        def keep(t, stage):
+            verify_tree(t, f, tr)
+            after[stage] = t.copy()
+
+        run_contraction(init_tree(f, tr), on_stage=keep)
+        # stage 1 contracted b into a's edge and d into e's, leaving c's
+        # edge the identity and a's edge standing for X (a & b)
+        t = after[1]
+        assert t.children == {ROOT: [0], 0: [3, 5], 5: [6, 9]}
+        assert tree_formulas(t, f)[1][3] == parse("X (a & b)")
+        t.labels[3] = t.labels[6]
+        with pytest.raises(ContractionError, match="edge to 3 does not compute"):
+            verify_tree(t, f, tr)
+
+
+class TestTreeHoldsNoFormulas:
+    def test_slots(self):
+        assert set(contraction.ContractionTree.__slots__) == {
+            "n", "parent", "children", "labels", "ops", "leaf_numbers", "literal_bits",
+        }
+
+    def test_init_tree_builds_no_not(self, monkeypatch):
+        f = parse("! (a U[2] ! X ! (b & ! c)) | ! Y wX ! (d R ! wY X e) & ! X ! Y ! f")
+        tr = make_trace([set("abcdef"), set("ace"), set(), set("bdf")], list("abcdef"))
+        made = []
+        real = formula.Not.__init__
+
+        def counting(self, *args):
+            made.append(args)
+            real(self, *args)
+
+        monkeypatch.setattr(formula.Not, "__init__", counting)
+        t = init_tree(f, tr)
+        assert made == []
+        assert run_contraction(t).tolist() == check(f, tr, engine="naive").sequence.tolist()
+
+    def test_ops_are_dual_tokens_and_pruned_bounds(self):
+        f = parse("! ((a U[2] b) & (c S[9] ! (d T[3] e)))")
+        t = init_tree(f, make_trace([set("abcde")] * 8, list("abcde")))
+        # PNF: (!a R[2] !b) | (!c T[9] (d T[3] e)), in preorder 0 |, 1 R, 2 !a,
+        # 3 !b, 4 T, 5 !c, 6 T, 7 d, 8 e; the bound 9 reaches n - 1 = 7
+        assert t.ops == {0: ("|", None), 1: ("R", 2), 4: ("T", None), 6: ("T", 3)}
 
 
 class TestRawRowUnderShift:
@@ -487,14 +567,15 @@ class TestRawRowUnderShift:
     def test_matches_naive_and_keeps_invariants(self, text, n):
         rng = random.Random(f"{text} {n}")
         tr = random_trace(rng, n)
-        tree = init_tree(prune_bounds(to_pnf(parse(text)), n), tr)
+        f = prune_bounds(to_pnf(parse(text)), n)
+        tree = init_tree(f, tr)
         leaf_b = leaves_left_to_right(tree)[1]
         assert tree.children[tree.parent[leaf_b]].index(leaf_b) == 1
         assert not is_identity(tree.labels[tree.parent[leaf_b]])
         stages = []
 
         def verify(t, stage):
-            verify_tree(t)
+            verify_tree(t, f, tr)
             stages.append(stage)
 
         got = run_contraction(tree, on_stage=verify)

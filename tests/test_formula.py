@@ -23,11 +23,12 @@ from pathcheck.formula import (
     atom_names,
     fold,
     format_formula,
-    is_literal,
     parse,
     prune_bounds,
     to_pnf,
 )
+
+from helpers import is_literal
 
 
 def atoms():

@@ -63,12 +63,20 @@ def defined_names(name: str) -> set[str]:
 
 
 def test_test_only_referees_are_not_shipped():
-    # the recursive oracle, the single-leaf step and the two formula metrics
-    # live in the tests; the package has one oracle and one way to contract
-    removed = {"holds_at", "contract_step", "is_pnf", "size"}
+    # the recursive oracle, the single-leaf step, the two formula metrics and
+    # the tree referee with its row and literal checks live in the tests; the
+    # package has one oracle and one way to contract
+    removed = {
+        "holds_at", "contract_step", "is_pnf", "size", "verify_tree", "is_evaluated", "is_literal",
+    }
     assert not removed & imported_names("__init__")
-    for module in ("semantics", "formula", "contraction"):
+    for module in ("semantics", "formula", "contraction", "rows"):
         assert not removed & defined_names(module), module
+
+
+def test_contraction_builds_no_formulas():
+    # the tree keeps operator tokens; only the tests' referee rebuilds formulas
+    assert not {"Not", "format_formula"} & imported_names("contraction")
 
 
 def test_gate_model_class_is_not_exported():

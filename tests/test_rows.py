@@ -28,13 +28,12 @@ from pathcheck.rows import (
     apply,
     compose_evaluated,
     identity,
-    is_evaluated,
     positions,
 )
 
 import referee
 from gates import apply as gate_apply, compose, constants_are_sinks, validate
-from helpers import random_bits, random_builder_label, random_label, truth_table
+from helpers import is_evaluated, random_bits, random_builder_label, random_label, truth_table
 from test_referee import label_bytes
 
 
@@ -86,7 +85,7 @@ class TestComposeEvaluated:
             plain = compose(a, b)
             cooked = Transducer(evaluate(plain.circuit), plain.inputs, plain.outputs)
             assert truth_table(fused) == truth_table(cooked)
-            assert (fused.arity_in, fused.arity_out) == (a.arity_in, b.arity_out)
+            assert fused.n == a.n == b.n
             assert_row_invariant(fused)
 
     def test_constant_first_stage(self):
